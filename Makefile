@@ -41,7 +41,7 @@ load-smoke:
 
 # The parallel engine paths are the main race surface; this is the gate
 # CI runs in addition to the plain test job. The suite's cross-engine
-# matrix (8 configurations × 30 workflows, twice) outgrows go test's
+# matrix (5 configurations × 30 workflows, twice) outgrows go test's
 # default 10m package budget under the race detector.
 race:
 	$(GO) test -race -timeout 40m ./...

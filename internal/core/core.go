@@ -50,7 +50,7 @@ type Config struct {
 	FreeSourceStats bool
 	// Registry resolves transform UDFs at execution time (nil = defaults).
 	Registry engine.Registry
-	// Streaming executes with the pipelined Volcano engine instead of the
+	// Streaming executes with the pipelined streaming engine instead of the
 	// batch engine; results and observations are identical, only the
 	// execution strategy (and intermediate materialization) differs.
 	Streaming bool
@@ -80,9 +80,11 @@ type Config struct {
 	// RetryBackoff is the base inter-attempt delay, doubling per retry,
 	// capped at 100ms (0 = engine default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode selects the engines' legacy row-at-a-time interpreters
-	// instead of the default columnar executors (the equivalence suite runs
-	// every workflow through both).
+	// RowMode runs the batch engine's reference row interpreter instead of
+	// its default columnar executor; results and observations are
+	// identical (the equivalence suite holds every columnar executor to
+	// it). The reference is batch-only and in-process, so RunCtx rejects
+	// RowMode combined with Streaming or a Dispatcher.
 	RowMode bool
 	// StatsTier selects the statistics observation tier: TierExact (the
 	// default) observes exact counters and per-value histograms only;
@@ -106,17 +108,21 @@ type Config struct {
 	// dispatch layer and internal/serve's Coordinator). Results, observed
 	// statistics and the work metric are byte-identical to local runs.
 	// Incompatible with CollectMetrics (workers do not ship per-operator
-	// metrics) and with adaptive execution (which needs the sequential
-	// local scheduler); the run entry points reject those combinations.
+	// metrics), with RowMode (workers run the columnar executors) and with
+	// adaptive execution (which needs the sequential local scheduler); the
+	// run entry points reject those combinations.
 	Dispatcher engine.BlockDispatcher
 }
 
-// checkDispatch validates the distributed-mode configuration surface.
-func (c Config) checkDispatch() error {
-	if c.Dispatcher == nil {
-		return nil
-	}
-	if c.CollectMetrics {
+// check rejects engine-option combinations that would silently run
+// something other than what was asked for, naming the combination.
+func (c Config) check() error {
+	switch {
+	case c.RowMode && c.Streaming:
+		return fmt.Errorf("core: RowMode is incompatible with Streaming (the reference row interpreter is batch-only)")
+	case c.RowMode && c.Dispatcher != nil:
+		return fmt.Errorf("core: RowMode is incompatible with distributed execution (workers run the columnar executors)")
+	case c.Dispatcher != nil && c.CollectMetrics:
 		return fmt.Errorf("core: distributed execution is incompatible with CollectMetrics (workers do not ship per-operator metrics)")
 	}
 	return nil
@@ -216,7 +222,6 @@ func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) executor {
 		eng.Faults = cfg.Faults
 		eng.RetryMax = cfg.RetryMax
 		eng.RetryBackoff = cfg.RetryBackoff
-		eng.RowMode = cfg.RowMode
 		eng.Dispatch = cfg.Dispatcher
 		return eng
 	}
@@ -249,7 +254,7 @@ func Run(g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*C
 // degradation ladder and reports how in Cycle.Degradation.
 func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*Cycle, error) {
 	cy := &Cycle{cfg: cfg, db: db}
-	if err := cfg.checkDispatch(); err != nil {
+	if err := cfg.check(); err != nil {
 		return cy, err
 	}
 	start := time.Now()

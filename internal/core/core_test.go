@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -359,6 +360,56 @@ func TestStreamingCycleMatchesBatch(t *testing.T) {
 	}
 	if optS.Sinks["dw"].Card() != optB.Sinks["dw"].Card() {
 		t.Fatalf("optimized outputs differ: %d vs %d", optS.Sinks["dw"].Card(), optB.Sinks["dw"].Card())
+	}
+}
+
+// noWorkers is a dispatcher with an empty fleet: every session fails to
+// open, so the engine runs the whole workflow in-process.
+type noWorkers struct{}
+
+func (noWorkers) DispatchRun(context.Context, *engine.DispatchSpec) (engine.RunDispatch, error) {
+	return nil, engine.ErrWorkersLost
+}
+
+// TestConfigCheck pins which engine-option combinations a cycle accepts.
+// The reference row interpreter exists only in the in-process batch
+// engine, so RowMode with Streaming or a Dispatcher would silently run
+// columnar; a Dispatcher with CollectMetrics would silently drop the
+// remote blocks' metrics. Each rejection names its combination.
+func TestConfigCheck(t *testing.T) {
+	g, cat, db := skewedRetail(t)
+	for _, tc := range []struct {
+		name    string
+		set     func(*Config)
+		wantErr string
+	}{
+		{"default", func(*Config) {}, ""},
+		{"row", func(c *Config) { c.RowMode = true }, ""},
+		{"row metrics", func(c *Config) { c.RowMode, c.CollectMetrics = true, true }, ""},
+		{"stream", func(c *Config) { c.Streaming = true }, ""},
+		{"dispatch", func(c *Config) { c.Dispatcher = noWorkers{} }, ""},
+		{"stream dispatch", func(c *Config) { c.Streaming, c.Dispatcher = true, noWorkers{} }, ""},
+		{"row stream", func(c *Config) { c.RowMode, c.Streaming = true, true }, "RowMode is incompatible with Streaming"},
+		{"row dispatch", func(c *Config) { c.RowMode, c.Dispatcher = true, noWorkers{} }, "RowMode is incompatible with distributed execution"},
+		{"dispatch metrics", func(c *Config) { c.Dispatcher, c.CollectMetrics = noWorkers{}, true }, "incompatible with CollectMetrics"},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		cy, err := Run(g, cat, db, cfg)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if cy.Plans == nil {
+				t.Errorf("%s: cycle finished without plans", tc.name)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+		if cy.Analysis != nil {
+			t.Errorf("%s: a rejected configuration still ran the cycle", tc.name)
+		}
 	}
 }
 

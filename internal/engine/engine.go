@@ -5,7 +5,10 @@
 // designed initial order or any reordering supplied by the optimizer) and
 // pinned top operators into a typed operator DAG with statistic taps
 // already bound to their observation points; the batch engine interprets
-// that DAG table-at-a-time, the streaming engine row-at-a-time.
+// that DAG a whole operator output at a time, the streaming engine in
+// pipelined chunks, both over column vectors. The batch engine also keeps
+// a sequential row interpreter (RowMode) as the reference every golden
+// test compares the columnar executors against.
 //
 // The engines realize Sections 3.2.5–3.2.6 of the paper: execution can be
 // instrumented with per-point statistic collectors (tuple counters,
@@ -67,11 +70,13 @@ type Engine struct {
 	// RetryBackoff is the base delay between attempts, doubling per retry,
 	// capped at 100ms (0 = the default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode selects the legacy row-at-a-time interpreter instead of the
-	// default columnar one. The row interpreter is the reference
-	// implementation: the equivalence suite diffs the columnar executor's
-	// sinks, materialized tables, observed statistics, work metric and
-	// deterministic metrics against it on every workflow.
+	// RowMode runs the reference row interpreter (runBatchBlock) instead
+	// of the default columnar one. It is the reference implementation: the
+	// equivalence suite diffs both columnar executors' sinks, materialized
+	// tables, observed statistics, work metric and deterministic metrics
+	// against it on every workflow. It applies to blocks this engine runs
+	// in-process; blocks placed on remote workers through Dispatch run
+	// columnar.
 	RowMode bool
 	// AdaptCheck, when non-nil, is consulted after every committed block;
 	// returning true stops the run with a *ReplanSignal. Forces sequential
@@ -199,14 +204,7 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
 	env.adapt = e.AdaptCheck
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return runVecBlock(bp, col, sink, e.CollectMetrics)
-	}
-	if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return runBatchBlock(bp, col, sink, e.CollectMetrics)
-		}
-	}
+	runner := e.interpreter(col, e.CollectMetrics)
 	if e.Dispatch != nil && env.adapt == nil {
 		err = runBlocksDist(plan, e.Workers, env, out, col, e.Dispatch, &DispatchSpec{
 			Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
@@ -230,9 +228,22 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	return out, nil
 }
 
-// runBatchBlock interprets one compiled block table-at-a-time: every node
-// of the plan evaluates in topological order, feeding its taps over the
-// whole output table at once.
+// interpreter returns the block runner this engine runs blocks with: the
+// reference row interpreter under RowMode, the columnar one otherwise.
+func (e *Engine) interpreter(col *collector, metrics bool) blockRunner {
+	if e.RowMode {
+		return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
+			return runBatchBlock(bp, col, sink, metrics)
+		}
+	}
+	return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
+		return runVecBlock(bp, col, sink, metrics)
+	}
+}
+
+// runBatchBlock is the reference row interpreter. It interprets one
+// compiled block table-at-a-time: every node of the plan evaluates in
+// topological order, feeding its taps over the whole output table at once.
 func runBatchBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics bool) (*data.Table, error) {
 	tables := make([]*data.Table, len(bp.Nodes))
 	for _, n := range bp.Nodes {

@@ -15,10 +15,10 @@ import (
 // Fault tolerance for both engines. Three mechanisms compose here:
 //
 //   - Cancellation: every run threads a context.Context; the interpreters
-//     poll it at operator boundaries (batch) or every budgetChunk rows
-//     (streaming), so a run stops promptly without leaking goroutines and
-//     without leaving half-observed statistics in the store (observers only
-//     record at end of stream).
+//     poll it at operator boundaries (batch) or every chunk (streaming), so
+//     a run stops promptly without leaking goroutines and without leaving
+//     half-observed statistics in the store (observers only record at end
+//     of stream).
 //   - Block retry: a block whose attempt fails with a transient fault
 //     re-runs from its (materialized) upstream inputs with capped
 //     exponential backoff. Each attempt works against a private row-budget
@@ -261,16 +261,6 @@ func (s *blockSink) liveAux(col *collector, aux []*physical.AuxJoin) ([]*physica
 		col.markFailed(a.Stat, err)
 	}
 	return live, nil
-}
-
-// observersFor builds row observers for the node's taps that survive fault
-// filtering.
-func (s *blockSink) observersFor(col *collector, taps []physical.Tap) ([]rowObserver, error) {
-	live, err := s.liveTaps(col, taps)
-	if err != nil {
-		return nil, err
-	}
-	return observersFor(col, live), nil
 }
 
 // tapSite renders a statistic's engine-independent fault site: the

@@ -318,35 +318,11 @@ func routeSinks(an *workflow.Analysis, out *Result) error {
 	return nil
 }
 
-// splitmix64 mixes a 64-bit value; the partitioner uses it so that skewed
-// join keys still spread across workers.
+// splitmix64 mixes a 64-bit value; the streaming probe cascade partitions
+// by it so that skewed join keys still spread across workers.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// partitionByKey splits rows across w partitions by hash of the key column.
-// All rows sharing a join-key value land in the same partition, and within
-// a partition rows keep their relative order.
-func partitionByKey(rows []data.Row, col, w int) [][]data.Row {
-	parts := make([][]data.Row, w)
-	for _, r := range rows {
-		p := int(splitmix64(uint64(r[col])) % uint64(w))
-		parts[p] = append(parts[p], r)
-	}
-	return parts
-}
-
-// partitionChunks splits rows into w contiguous chunks (order-preserving:
-// concatenating the chunks reproduces rows exactly).
-func partitionChunks(rows []data.Row, w int) [][]data.Row {
-	parts := make([][]data.Row, w)
-	n := len(rows)
-	for i := 0; i < w; i++ {
-		lo, hi := i*n/w, (i+1)*n/w
-		parts[i] = rows[lo:hi]
-	}
-	return parts
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -222,47 +221,5 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		if err.Error() != first {
 			t.Fatalf("error varies across runs: %q vs %q", first, err.Error())
 		}
-	}
-}
-
-func TestPartitionChunks(t *testing.T) {
-	rows := make([]data.Row, 10)
-	for i := range rows {
-		rows[i] = data.Row{int64(i)}
-	}
-	parts := partitionChunks(rows, 3)
-	var back []data.Row
-	for _, p := range parts {
-		back = append(back, p...)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("chunks lost rows: %d vs %d", len(back), len(rows))
-	}
-	for i := range rows {
-		if back[i][0] != rows[i][0] {
-			t.Fatalf("chunk concatenation reordered rows at %d", i)
-		}
-	}
-}
-
-func TestPartitionByKeyLocality(t *testing.T) {
-	rows := make([]data.Row, 100)
-	for i := range rows {
-		rows[i] = data.Row{int64(i % 7)}
-	}
-	parts := partitionByKey(rows, 0, 4)
-	total := 0
-	owner := make(map[int64]int)
-	for w, p := range parts {
-		total += len(p)
-		for _, r := range p {
-			if prev, ok := owner[r[0]]; ok && prev != w {
-				t.Fatalf("key %d split across workers %d and %d", r[0], prev, w)
-			}
-			owner[r[0]] = w
-		}
-	}
-	if total != len(rows) {
-		t.Fatalf("partition lost rows: %d vs %d", total, len(rows))
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -13,13 +12,14 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// StreamEngine executes compiled physical plans in pipelined (Volcano)
-// mode: tuples flow through operator iterators, statistic handlers fire per
-// tuple, and only hash-join build sides, block inputs and block outputs are
-// materialized. It interprets the same physical IR as the batch Engine —
-// operator semantics, tap placement and reject routing are decided once, by
-// the compiler — so its results and observations are row-for-row identical
-// to Engine's (the tests cross-check), and either mode can back the
+// StreamEngine executes compiled physical plans in pipelined mode: input
+// chains cook chunk-at-a-time over column vectors, join trees run as a
+// probe cascade along the streamed spine, and statistic observers fold each
+// chunk as it passes (see vec_stream.go). It interprets the same physical
+// IR as the batch Engine — operator semantics, tap placement and reject
+// routing are decided once, by the compiler — so its results and
+// observations are identical to Engine's (the tests cross-check against the
+// batch engine's reference row interpreter), and either mode can back the
 // optimization loop.
 type StreamEngine struct {
 	An  *workflow.Analysis
@@ -29,7 +29,7 @@ type StreamEngine struct {
 	// partitions chain and join-probe pipelines across goroutines with
 	// per-worker statistic shards (merged after the operator drains, so
 	// observed values are identical to a sequential run). Values <= 1 run
-	// the classic single-goroutine iterators.
+	// every pipeline over a single partition.
 	Workers int
 	// MaxRows caps the total intermediate rows one run may produce (the
 	// work metric Result.Rows); exceeding it aborts the run with a clear
@@ -51,11 +51,6 @@ type StreamEngine struct {
 	// RetryBackoff is the base delay between attempts, doubling per retry,
 	// capped at 100ms (0 = the default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode selects the legacy row-at-a-time iterators instead of the
-	// default columnar chunk pipeline. The row interpreter is the reference
-	// implementation the equivalence suite diffs the columnar executor
-	// against on every workflow.
-	RowMode bool
 	// AdaptCheck, when non-nil, is consulted after every committed block;
 	// returning true stops the run with a *ReplanSignal. Forces sequential
 	// block scheduling (see adapt.go).
@@ -145,11 +140,6 @@ func (e *StreamEngine) runPlans(ctx context.Context, cp *Checkpoint, plans map[i
 	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
 		return e.runVecStreamBlock(bp, col, sink)
 	}
-	if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return e.runStreamBlock(bp, col, sink)
-		}
-	}
 	if e.Dispatch != nil && env.adapt == nil {
 		err = runBlocksDist(plan, e.Workers, env, out, col, e.Dispatch, &DispatchSpec{
 			Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
@@ -169,290 +159,4 @@ func (e *StreamEngine) runPlans(ctx context.Context, cp *Checkpoint, plans map[i
 		return out, err
 	}
 	return out, nil
-}
-
-// metOf returns the node's metrics accumulator when collection is on, nil
-// otherwise (a nil accumulator keeps every hot path timing-free).
-func metOf(n *physical.Node, on bool) *physical.Metrics {
-	if !on {
-		return nil
-	}
-	return &n.Metrics
-}
-
-// stream pairs an iterator with its schema.
-type stream struct {
-	it    Iterator
-	attrs []workflow.Attr
-}
-
-// runStreamBlock pipelines one compiled block: every input chain streams
-// into a materialized cooked input, the join DAG probes along its streamed
-// spine, and the pinned top operators stream over the joined output.
-func (e *StreamEngine) runStreamBlock(bp *physical.BlockPlan, col *collector, out *blockSink) (*data.Table, error) {
-	inputs := make([]*data.Table, len(bp.Chains))
-	for i, chain := range bp.Chains {
-		tbl, err := e.runStreamChain(bp, chain, col, out)
-		if err != nil {
-			return nil, fmt.Errorf("input %d (%s): %w", i, bp.Block.Inputs[i].Name, err)
-		}
-		inputs[i] = tbl
-	}
-	var result *data.Table
-	switch {
-	case bp.JoinRoot == nil:
-		// Join-free block: the compiler guarantees a single input.
-		result = inputs[0]
-	case bp.JoinRoot.Kind != physical.OpHashJoin:
-		// Single-leaf tree: the root is the cooked chain end, already
-		// tapped and counted by the chain pipeline.
-		result = inputs[bp.JoinRoot.ChainInput]
-	case e.Workers > 1:
-		tbl, err := e.runSpine(bp.JoinRoot, inputs, col, out, "block")
-		if err != nil {
-			return nil, err
-		}
-		result = tbl
-	default:
-		st, auxes, err := e.buildStream(bp.JoinRoot, inputs, col, out)
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := drain(st.it, "block", st.attrs)
-		if err != nil {
-			return nil, err
-		}
-		// Post-stream auxiliary reject joins (union–division counters).
-		for _, a := range auxes {
-			a.run(col, inputs)
-		}
-		result = tbl
-	}
-	for _, n := range bp.TopNodes {
-		if err := out.ctxErr(); err != nil {
-			return nil, err
-		}
-		if err := out.opFault(n); err != nil {
-			return nil, err
-		}
-		if n.Kind == physical.OpMaterialize {
-			out.materialized[n.Rel] = result
-			continue
-		}
-		st := opIter(n, &stream{it: &scanIter{tbl: result}, attrs: result.Attrs})
-		st, err := tapFor(n, st, col, out, metOf(n, e.CollectMetrics))
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := drain(st.it, result.Rel, st.attrs)
-		if err != nil {
-			return nil, fmt.Errorf("top op %s: %w", n.Label, err)
-		}
-		result = tbl
-	}
-	return result, nil
-}
-
-// runStreamChain streams one input chain into a materialized table, tapping
-// every chain point per tuple.
-func (e *StreamEngine) runStreamChain(bp *physical.BlockPlan, chain []*physical.Node, col *collector, out *blockSink) (*data.Table, error) {
-	// Fault sites are checked up front for the whole chain — same sites,
-	// same order as the batch interpreter's node loop.
-	for _, n := range chain {
-		if err := out.opFault(n); err != nil {
-			return nil, err
-		}
-	}
-	scan := chain[0]
-	base := scan.Src
-	if scan.FromBlock >= 0 {
-		up, ok := out.upstream[scan.FromBlock]
-		if !ok {
-			return nil, fmt.Errorf("upstream block %d not yet executed", scan.FromBlock)
-		}
-		base = up
-	}
-	if e.Workers > 1 && len(base.Rows) >= 2*e.Workers && perRowChain(chain) {
-		return e.runChainParallel(bp, chain, base, col, out)
-	}
-	st := &stream{it: &scanIter{tbl: base}, attrs: scan.Attrs}
-	st, err := tapFor(scan, st, col, out, metOf(scan, e.CollectMetrics))
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range chain[1:] {
-		st = opIter(n, st)
-		st, err = tapFor(n, st, col, out, metOf(n, e.CollectMetrics))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return drain(st.it, bp.Block.Inputs[scan.ChainInput].Name, st.attrs)
-}
-
-// opIter wraps one unary physical operator around a stream. The compiler
-// already resolved columns and functions, so construction cannot fail;
-// scans and materializations pass through.
-func opIter(n *physical.Node, src *stream) *stream {
-	switch n.Kind {
-	case physical.OpFilter:
-		return &stream{it: &filterIter{src: src.it, col: n.PredCol, pred: n.Pred}, attrs: n.Attrs}
-	case physical.OpProject:
-		return &stream{it: &projectIter{src: src.it, cols: n.Cols}, attrs: n.Attrs}
-	case physical.OpTransform:
-		return &stream{it: &transformIter{src: src.it, fn: n.Fn, ins: n.FnIns}, attrs: n.Attrs}
-	case physical.OpGroupBy:
-		return &stream{it: &groupByIter{src: src.it, cols: n.Cols}, attrs: n.Attrs}
-	case physical.OpAggregateUDF:
-		return &stream{it: &aggUDFIter{src: src.it, fn: n.Fn, ins: n.FnIns}, attrs: n.Attrs}
-	default:
-		return src
-	}
-}
-
-// tapFor wraps a node's output with its compiled taps, the block's work
-// counter and the run's row budget — the streaming counterpart of the batch
-// engine's per-node count-and-collect. met (nil when metrics are off) is
-// the node's metrics accumulator. Taps the fault injector fails permanently
-// are dropped (degraded); a transient tap fault aborts the attempt.
-func tapFor(n *physical.Node, src *stream, col *collector, out *blockSink, met *physical.Metrics) (*stream, error) {
-	obs, err := out.observersFor(col, n.Taps)
-	if err != nil {
-		return nil, err
-	}
-	return &stream{it: &tapIter{
-		src:       src.it,
-		observers: obs,
-		rows:      &out.rows,
-		budget:    out.budget,
-		ctx:       out.ctx,
-		at:        n.Label,
-		met:       met,
-	}, attrs: src.attrs}, nil
-}
-
-// buildStream assembles the streaming pipeline for a join subtree: the
-// right side of each hash join is materialized (the build), the left side
-// streams and probes. Reject instrumentation and reject links ride on the
-// join's miss callbacks.
-func (e *StreamEngine) buildStream(n *physical.Node, inputs []*data.Table, col *collector, out *blockSink) (*stream, []*auxState, error) {
-	if n.Kind != physical.OpHashJoin {
-		// A chain-end leaf: already cooked, tapped and counted.
-		tbl := inputs[n.ChainInput]
-		return &stream{it: &scanIter{tbl: tbl}, attrs: tbl.Attrs}, nil, nil
-	}
-	if err := out.opFault(n); err != nil {
-		return nil, nil, err
-	}
-	left, aux, err := e.buildStream(n.Left, inputs, col, out)
-	if err != nil {
-		return nil, nil, err
-	}
-	var right *data.Table
-	if n.Right.Kind != physical.OpHashJoin {
-		right = inputs[n.Right.ChainInput]
-	} else {
-		rs, rAux, err := e.buildStream(n.Right, inputs, col, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		aux = append(aux, rAux...)
-		right, err = drain(rs.it, "build", rs.attrs)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	join := &hashJoinIter{left: left.it, right: right, lc: n.LeftCol, rc: n.RightCol}
-	met := metOf(n, e.CollectMetrics)
-
-	// Streamed-side misses surface per tuple; build-side misses at Close.
-	var leftSink *auxState
-	var leftObs []rowObserver
-	if n.LeftReject != nil {
-		leftSink, leftObs, err = rejectState(n.LeftReject, n.Left.Attrs, col, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		if leftSink != nil {
-			leftSink.met = met
-			aux = append(aux, leftSink)
-		}
-	}
-	var link *data.Table
-	if n.RejectLink != "" {
-		// A designed reject link materializes the left side's misses.
-		link = &data.Table{Rel: "reject", Attrs: n.Left.Attrs}
-		out.materialized[n.RejectLink] = link
-	}
-	if leftObs != nil || leftSink != nil || link != nil {
-		join.onLeftMiss = func(r data.Row) {
-			observeMisses(leftObs, r, met)
-			if leftSink != nil {
-				leftSink.misses.Rows = append(leftSink.misses.Rows, r)
-			}
-			if link != nil {
-				link.Rows = append(link.Rows, r)
-			}
-		}
-		join.leftMissFinish = leftObs
-	}
-	if n.RightReject != nil {
-		sink, obs, err := rejectState(n.RightReject, n.Right.Attrs, col, out)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sink != nil {
-			sink.met = met
-			aux = append(aux, sink)
-		}
-		join.onRightMiss = func(r data.Row) {
-			observeMisses(obs, r, met)
-			if sink != nil {
-				sink.misses.Rows = append(sink.misses.Rows, r)
-			}
-		}
-		join.rightMissFinish = obs
-	}
-	// Tap the join output: SE handlers per tuple, work counter, row budget.
-	st, err := tapFor(n, &stream{it: join, attrs: n.Attrs}, col, out, met)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, aux, nil
-}
-
-// observeMisses feeds one miss row to the reject observers, timing the
-// observation as tap overhead when metrics are on.
-func observeMisses(obs []rowObserver, r data.Row, met *physical.Metrics) {
-	if met != nil && len(obs) > 0 {
-		tapStart := time.Now()
-		for _, o := range obs {
-			o.observe(r)
-		}
-		met.TapNanos += time.Since(tapStart).Nanoseconds()
-		return
-	}
-	for _, o := range obs {
-		o.observe(r)
-	}
-}
-
-// rejectState prepares one join side's reject instrumentation: per-row
-// observers for the singleton statistics and, when two-input variants were
-// compiled, a miss sink feeding the post-stream auxiliary joins. Both lists
-// pass through the fault injector first.
-func rejectState(rt *physical.RejectTaps, missAttrs []workflow.Attr, col *collector, out *blockSink) (*auxState, []rowObserver, error) {
-	obs, err := out.observersFor(col, rt.Singles)
-	if err != nil {
-		return nil, nil, err
-	}
-	aux, err := out.liveAux(col, rt.Aux)
-	if err != nil {
-		return nil, nil, err
-	}
-	var sink *auxState
-	if len(aux) > 0 {
-		sink = &auxState{aux: aux, misses: &data.Table{Rel: "miss", Attrs: missAttrs}}
-	}
-	return sink, obs, nil
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
@@ -130,26 +129,16 @@ func (c *collector) collect(tap physical.Tap, tbl *data.Table) {
 }
 
 // auxState is a pending union–division auxiliary join: the misses of one
-// input joined with each registered partner input after the block's
-// pipeline drains (rule J4's counter).
+// input joined with each registered partner input once the reject join has
+// run (rule J4's counter).
 type auxState struct {
 	aux    []*physical.AuxJoin
 	misses *data.Table
-	// met, when non-nil, charges the auxiliary joins as tap overhead of
-	// the owning join node. The streaming paths set it (auxes run after
-	// the pipeline drains, outside any other timing window); the batch
-	// engine leaves it nil because its per-join tap window already covers
-	// reject collection.
-	met *physical.Metrics
 }
 
 // run executes the auxiliary joins over the collected misses and feeds each
 // statistic.
 func (a *auxState) run(col *collector, inputs []*data.Table) {
-	if a.met != nil {
-		start := time.Now()
-		defer func() { a.met.TapNanos += time.Since(start).Nanoseconds() }()
-	}
 	for _, aj := range a.aux {
 		partner := inputs[aj.Partner]
 		if partner == nil {

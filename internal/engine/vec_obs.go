@@ -8,8 +8,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// vecObserver is a batch-at-a-time statistic handler — the columnar
-// counterpart of rowObserver. The streaming columnar interpreter gives each
+// vecObserver is a chunk-at-a-time statistic handler: the streaming
+// interpreter's counterpart of collector.collectVec, which folds a
+// whole operator output at once. The streaming interpreter gives each
 // worker its own shard (so per-chunk observation never contends) and folds
 // the shards after the pipeline drains; counts, bucket frequencies and
 // distinct sets are order-insensitive, so the merged value is identical to

@@ -10,15 +10,39 @@ import (
 )
 
 // Columnar streaming interpreter. It executes the same compiled block plans
-// as runStreamBlock, chunk-at-a-time over column vectors: input chains
+// as the batch engine, chunk-at-a-time over column vectors: input chains
 // split into contiguous ranges processed through vectorized operators with
 // per-worker statistic shards, and join trees execute as a probe cascade
 // along the streamed spine — the base input partitioned by hash of the
 // first probe key, each worker driving vector chunks through every probe
 // stage with per-worker observers, miss accumulators and match marks.
 // Workers <= 1 runs the same code over a single partition. All observable
-// behavior matches the row streaming interpreter; the equivalence suite
-// enforces it at several worker counts.
+// behavior matches the batch engine's reference row interpreter
+// (runBatchBlock); the equivalence suite enforces it at several worker
+// counts.
+//
+// The run's row budget is shared across workers; shards charge it in
+// chunks so the guard stays cheap under contention while still aborting a
+// blowing-up cascade promptly.
+
+// budgetChunk is how many rows a worker accumulates locally before charging
+// the shared row budget.
+const budgetChunk = 1024
+
+// perRowChain reports whether every chain operator past the scan is per-row
+// (filter, project, transform): only then can chunks run independently.
+// Block analysis cuts chains at blocking operators, so this always holds
+// today; the check keeps the fallback honest if that ever changes.
+func perRowChain(chain []*physical.Node) bool {
+	for _, n := range chain[1:] {
+		switch n.Kind {
+		case physical.OpFilter, physical.OpProject, physical.OpTransform:
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // vecStream is one block attempt's columnar streaming state.
 type vecStream struct {
@@ -98,10 +122,10 @@ func (e *StreamEngine) runVecStreamBlock(bp *physical.BlockPlan, col *collector,
 
 // runVecChain cooks one input chain into a batch, observing every chain
 // point. Large bases with per-row chains fan out across workers in
-// contiguous chunks, exactly like the row interpreter's parallel path.
+// contiguous chunks.
 func (v *vecStream) runVecChain(chain []*physical.Node) (*batch.Batch, error) {
 	// Fault sites are checked up front for the whole chain — same sites,
-	// same order as the row interpreters.
+	// same order as the batch interpreters' node loop.
 	for _, n := range chain {
 		if err := v.out.opFault(n); err != nil {
 			return nil, err

@@ -10,8 +10,8 @@ import (
 // counters split the paper's Section 5.4 observation-cost question into
 // measurable parts: WallNanos is the time spent producing the node's rows,
 // TapNanos is — timed separately — the overhead of the statistic taps
-// attached to the node (per-row observers, reject collection and the
-// post-stream auxiliary union–division joins).
+// attached to the node (observers, reject collection and the auxiliary
+// union–division joins).
 //
 // Semantics per engine:
 //
@@ -21,12 +21,11 @@ import (
 //   - Calls counts operator invocations: 1 per batch evaluation, one per
 //     pipeline shard in the streaming engine — a worker-count-dependent
 //     diagnostic, excluded from the deterministic report.
-//   - WallNanos is per-operator in the batch engine (inputs are already
-//     materialized when an operator runs). In the streaming engine
-//     pipelines interleave, so WallNanos is cumulative along a pipeline:
-//     a node's time includes its streamed upstream; worker-parallel probe
-//     cascades attribute the cascade's time to the spine root. Wall times
-//     are wall-clock and therefore never part of deterministic output.
+//   - WallNanos and TapNanos are per-operator in the batch engine (inputs
+//     are already materialized when an operator runs). The streaming
+//     engine interleaves operators and observers chunk by chunk and
+//     leaves both at zero. Wall times are wall-clock and therefore never
+//     part of deterministic output.
 type Metrics struct {
 	// RowsOut counts rows the operator emitted.
 	RowsOut int64

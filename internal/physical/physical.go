@@ -8,9 +8,9 @@
 // already bound (the paper's Section 3.2.5 instrumentation, made
 // declarative).
 //
-// The batch engine interprets the DAG table-at-a-time, the streaming engine
-// pipelines it row-at-a-time, and the worker-parallel paths schedule its
-// nodes across goroutines; all of them read the same nodes, so operator
+// The batch engine interprets the DAG a whole operator output at a time,
+// the streaming engine pipelines it in chunks, and the worker-parallel
+// paths schedule its nodes across goroutines; all of them read the same nodes, so operator
 // semantics, observer wiring and reject routing live in exactly one place.
 package physical
 

@@ -65,10 +65,9 @@ type WorkerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
-	// Streaming selects the pipelined engine; RowMode the row-at-a-time
-	// interpreter; Workers the block-internal parallelism.
+	// Streaming selects the pipelined engine; Workers the block-internal
+	// parallelism.
 	Streaming bool `json:"streaming,omitempty"`
-	RowMode   bool `json:"row_mode,omitempty"`
 	Workers   int  `json:"workers,omitempty"`
 	// MaxRows caps this block's intermediate rows (the coordinator ships
 	// its per-run budget; in distributed mode the cap applies per
@@ -201,7 +200,6 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerR
 		eng.Faults = flt
 		eng.RetryMax = req.RetryMax
 		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		eng.RowMode = req.RowMode
 		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
 	} else {
 		eng := engine.New(st.an, st.db, nil)
@@ -210,7 +208,6 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerR
 		eng.Faults = flt
 		eng.RetryMax = req.RetryMax
 		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		eng.RowMode = req.RowMode
 		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
 	}
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package adaptive holds the suite-wide contract tests for mid-run
 // adaptive re-optimization. They live outside package suite so the full
-// 30-workflow × 8-configuration splice matrix gets its own go test
+// 30-workflow × 5-configuration splice matrix gets its own go test
 // package budget instead of eating the cross-engine goldens'.
 package adaptive
 
@@ -29,18 +29,27 @@ type engineConfig struct {
 	workers int
 }
 
-// engineConfigs mirrors the cross-engine golden's matrix: legacy
-// row-at-a-time and columnar, batch and streaming, sequential and
-// worker-parallel.
+// engineConfigs mirrors the cross-engine golden's matrix: the batch
+// engine's reference row interpreter, then the columnar batch and streaming
+// executors, each sequential and worker-parallel.
 var engineConfigs = []engineConfig{
 	{"row batch w1", true, false, 1},
-	{"row batch w4", true, false, 4},
-	{"row stream w1", true, true, 1},
-	{"row stream w4", true, true, 4},
 	{"vec batch w1", false, false, 1},
 	{"vec batch w4", false, false, 4},
 	{"vec stream w1", false, true, 1},
 	{"vec stream w4", false, true, 4},
+}
+
+// configNamed returns the matrix entry with the given name.
+func configNamed(t *testing.T, name string) engineConfig {
+	t.Helper()
+	for _, cfg := range engineConfigs {
+		if cfg.name == name {
+			return cfg
+		}
+	}
+	t.Fatalf("no engine configuration named %q", name)
+	return engineConfig{}
 }
 
 // forcedSkew provokes a replan at the first block boundary: q=4 against the
@@ -53,7 +62,7 @@ var forcedSkew = map[int]float64{0: 4}
 func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, inj *faults.Injector) (*engine.Result, error) {
 	if cfg.stream {
 		e := engine.NewStream(an, db, nil)
-		e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, true, inj
+		e.Workers, e.CollectMetrics, e.Faults = cfg.workers, true, inj
 		return e.RunPlansObserving(plans, res, observe)
 	}
 	e := engine.New(an, db, nil)
@@ -113,7 +122,7 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 				diffAdaptive(t, cfg.name, cold, ar.Run)
 				if singleBlock {
 					// No boundary to check: one configuration pins the inert
-					// path, the remaining seven add nothing.
+					// path, the remaining ones add nothing.
 					break
 				}
 			}
@@ -153,7 +162,9 @@ func TestAdaptiveLateBlockSkew(t *testing.T) {
 	if len(rec.Reoptimized) != 1 || rec.Reoptimized[0] != 2 {
 		t.Fatalf("reoptimized %v, want only the final block [2]", rec.Reoptimized)
 	}
-	cold, err := runPlansConfig(engineConfigs[4], cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, nil)
+	// The adaptive run used core.DefaultConfig: the columnar batch engine,
+	// sequential.
+	cold, err := runPlansConfig(configNamed(t, "vec batch w1"), cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, nil)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}

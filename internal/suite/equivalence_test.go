@@ -16,19 +16,20 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// engineConfigs enumerates every interpreter the contract covers: legacy
-// row-at-a-time and columnar, batch and streaming, sequential and
-// worker-parallel. The row batch sequential run is the golden reference.
-var engineConfigs = []struct {
+// engineConfig is one interpreter × worker-count combination.
+type engineConfig struct {
 	name    string
 	rowMode bool
 	stream  bool
 	workers int
-}{
+}
+
+// engineConfigs enumerates every interpreter the contract covers: the
+// batch engine's reference row interpreter, then the columnar batch and
+// streaming executors, each sequential and worker-parallel. The reference
+// (first) is the golden every other leg is diffed against.
+var engineConfigs = []engineConfig{
 	{"row batch w1", true, false, 1},
-	{"row batch w4", true, false, 4},
-	{"row stream w1", true, true, 1},
-	{"row stream w4", true, true, 4},
 	{"vec batch w1", false, false, 1},
 	{"vec batch w4", false, false, 4},
 	{"vec stream w1", false, true, 1},
@@ -36,15 +37,10 @@ var engineConfigs = []struct {
 }
 
 // runConfig executes one compiled plan under one engine configuration.
-func runConfig(cfg struct {
-	name    string
-	rowMode bool
-	stream  bool
-	workers int
-}, an *workflow.Analysis, db engine.DB, res *css.Result, observe []stats.Stat, metrics bool, inj *faults.Injector) (*engine.Result, error) {
+func runConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, res *css.Result, observe []stats.Stat, metrics bool, inj *faults.Injector) (*engine.Result, error) {
 	if cfg.stream {
 		e := engine.NewStream(an, db, nil)
-		e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, metrics, inj
+		e.Workers, e.CollectMetrics, e.Faults = cfg.workers, metrics, inj
 		return e.RunObserved(res, observe)
 	}
 	e := engine.New(an, db, nil)
@@ -53,13 +49,13 @@ func runConfig(cfg struct {
 }
 
 // TestEngineEquivalenceGolden is the cross-engine contract check: over
-// every suite workflow, the row-at-a-time and columnar interpreters of both
-// engines — sequential and worker-parallel — must produce identical sinks,
-// materialized tables, observed statistics and work metric from one
-// compiled physical plan. The legacy row batch sequential run is the
-// golden; any divergence means an interpreter strayed from the shared IR's
-// semantics. A second pass repeats the matrix with metrics collection off,
-// since the columnar paths skip per-node accounting entirely in that mode.
+// every suite workflow, the columnar interpreters of both engines —
+// sequential and worker-parallel — must produce sinks, materialized
+// tables, observed statistics and work metric identical to the reference
+// row interpreter's from one compiled physical plan. Any divergence means
+// an interpreter strayed from the shared IR's semantics. A second pass
+// repeats the matrix with metrics collection off, since the columnar paths
+// skip per-node accounting entirely in that mode.
 func TestEngineEquivalenceGolden(t *testing.T) {
 	const scale = 0.001
 	for _, w := range All() {
@@ -82,13 +78,6 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 					t.Fatalf("%s (metrics=%v): %v", engineConfigs[0].name, metrics, err)
 				}
 				for _, cfg := range engineConfigs[1:] {
-					if !metrics && cfg.rowMode {
-						// The metrics-off pass targets the columnar
-						// interpreters' accounting-free branches; the row
-						// interpreters barely branch on the flag and their
-						// metrics-on runs already pin them above.
-						continue
-					}
 					if raceDetector && cfg.workers == 1 {
 						// Under the race detector only the worker-parallel
 						// legs can race; the sequential ones run in the

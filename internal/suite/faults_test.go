@@ -10,8 +10,8 @@ import (
 // TestEngineEquivalenceUnderFaults is the fault-matrix contract: with an
 // injector forcing one transient fault at every site (rate=1, transient=1 —
 // every block's first attempt fails and every retry succeeds), every engine
-// configuration — row and columnar, batch and streaming, sequential and
-// worker-parallel — must still produce results identical to a fault-free
+// configuration — the reference row interpreter and the columnar batch and
+// streaming executors, sequential and worker-parallel — must still produce results identical to a fault-free
 // golden run over every suite workflow. Retries are invisible: per-attempt
 // sinks and row budgets isolate failed attempts, so nothing a failed
 // attempt did leaks into the committed result.

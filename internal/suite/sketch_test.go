@@ -31,9 +31,9 @@ func sketchObserve(res *css.Result) []stats.Stat {
 
 // TestSketchEquivalenceGolden extends the cross-engine contract to the
 // approximate tier: observing every sketch-backed variant over every suite
-// workflow, all eight engine configurations — row and columnar, batch and
-// streaming, sequential and worker-parallel — must merge to byte-identical
-// sketch state (HLL registers, count-min counters). Register-max and
+// workflow, every engine configuration — the reference row interpreter and
+// the columnar batch and streaming executors, sequential and
+// worker-parallel — must merge to byte-identical sketch state (HLL registers, count-min counters). Register-max and
 // counter-add merges are order-independent, so per-worker shards must not
 // introduce any drift at all, not merely bounded drift.
 func TestSketchEquivalenceGolden(t *testing.T) {
