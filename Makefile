@@ -40,8 +40,8 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # The parallel engine paths are the main race surface; this is the gate
-# CI runs in addition to the plain test job. The suite's cross-engine
-# matrix (5 configurations × 30 workflows, twice) outgrows go test's
+# CI runs in addition to the plain test job. The suite's cross-interpreter
+# matrix (3 configurations × 30 workflows, twice) outgrows go test's
 # default 10m package budget under the race detector.
 race:
 	$(GO) test -race -timeout 40m ./...

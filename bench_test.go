@@ -351,7 +351,7 @@ func BenchmarkEngineInstrumentedRun(b *testing.B) {
 }
 
 // BenchmarkMetricsOverhead measures the cost of per-operator metrics
-// collection on the instrumented run for both engines. With metrics off
+// collection on the instrumented run. With metrics off
 // the hot paths never call the clock, so "off" should be indistinguishable
 // from the seed; "on" prices the timing calls and counter updates.
 func BenchmarkMetricsOverhead(b *testing.B) {
@@ -383,60 +383,23 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 				}
 			}
 		})
-		b.Run("streaming/metrics="+mode.name, func(b *testing.B) {
-			eng := engine.NewStream(an, db, nil)
-			eng.CollectMetrics = mode.on
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunObserved(res, sel.Observe); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
-}
-
-// BenchmarkEngineMode compares batch and pipelined execution of the same
-// workflow (the streaming engine materializes only hash-join build sides).
-func BenchmarkEngineMode(b *testing.B) {
-	w := suite.MustGet(5)
-	db := w.Data(0.002)
-	an, err := w.Analyze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("batch", func(b *testing.B) {
-		eng := engine.New(an, db, nil)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		eng := engine.NewStream(an, db, nil)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // parallelWorkflows are the multi-block suite entries used by the worker
 // sweep, with a per-workflow data scale sized for per-iteration times:
-// wf07 and wf18 are block chains (intra-operator partitioning is the
-// lever), wf13 has two mutually independent blocks (the inter-block DAG
-// scheduler's best case).
+// wf07 and wf18 are block chains (nothing to overlap, so workers=4 prices
+// the scheduler's overhead), wf13 has two mutually independent blocks (the
+// inter-block DAG scheduler's best case).
 var parallelWorkflows = []struct {
 	id    int
 	scale float64
 }{{7, 0.02}, {13, 0.1}, {18, 0.02}}
 
-// BenchmarkEngineWorkers sweeps the worker count over multi-block suite
-// workflows on both engines. On multi-core hardware the streaming engine
-// at 4 workers should beat workers=1 by >= 1.5x on these workflows; on a
-// single-core host the sweep only verifies the parallel paths add no
-// meaningful overhead.
+// BenchmarkEngineWorkers sweeps the inter-block worker count over
+// multi-block suite workflows. Only wf13 has independent blocks to run
+// concurrently; on the block chains the sweep verifies the scheduler adds
+// no meaningful overhead.
 func BenchmarkEngineWorkers(b *testing.B) {
 	for _, pw := range parallelWorkflows {
 		id := pw.id
@@ -446,17 +409,6 @@ func BenchmarkEngineWorkers(b *testing.B) {
 			b.Fatal(err)
 		}
 		db := w.Data(pw.scale)
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("wf%02d/stream-w%d", id, workers), func(b *testing.B) {
-				eng := engine.NewStream(an, db, nil)
-				eng.Workers = workers
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("wf%02d/batch-w%d", id, workers), func(b *testing.B) {
 				eng := engine.New(an, db, nil)

@@ -362,7 +362,6 @@ func runCycle(ctx context.Context, file string, wfID int, dataDir string, scale 
 		coord, err := serve.NewCoordinator(serve.RunSpec{
 			WF:      wfID,
 			Scale:   scale,
-			Workers: workers,
 			MaxRows: maxRows,
 			Faults:  inj.String(),
 			CSS:     cfg.CSS,

@@ -45,9 +45,9 @@ func (s *slabs[T]) alloc(n int) []T {
 func (s *slabs[T]) reset() { s.cur, s.off = 0, 0 }
 
 // Arena is a slab allocator for column vectors and selection vectors. The
-// engines allocate every operator-lifetime vector from an arena and Reset it
-// when the owning scope (a block attempt, or one streaming chunk) ends, so a
-// run's steady-state allocation count is independent of row count.
+// engine allocates every operator-lifetime vector from an arena and Resets
+// it when the owning scope (a block attempt) ends, so a run's steady-state
+// allocation count is independent of row count.
 //
 // Lifetime rule: nothing allocated from an arena may outlive its Reset.
 // Everything that crosses an arena boundary — block outputs, materialized

@@ -84,27 +84,6 @@ func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
 	return t
 }
 
-// AppendLive appends every live row of b column-wise onto dst (growing each
-// column with the regular append machinery — accumulators persist beyond
-// arena resets). dst must have len(b.Cols) columns; it is returned for
-// chaining.
-func AppendLive(dst [][]int64, b *Batch) [][]int64 {
-	if b.Sel != nil {
-		for c, col := range b.Cols {
-			out := dst[c]
-			for _, ri := range b.Sel {
-				out = append(out, col[ri])
-			}
-			dst[c] = out
-		}
-		return dst
-	}
-	for c, col := range b.Cols {
-		dst[c] = append(dst[c], col[:b.N]...)
-	}
-	return dst
-}
-
 // SelectPred evaluates the single-attribute predicate over the column and
 // returns the selection vector of matching rows, written into out (which
 // must have capacity for every candidate row). sel/n describe the input's

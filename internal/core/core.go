@@ -50,18 +50,13 @@ type Config struct {
 	FreeSourceStats bool
 	// Registry resolves transform UDFs at execution time (nil = defaults).
 	Registry engine.Registry
-	// Streaming executes with the pipelined streaming engine instead of the
-	// batch engine; results and observations are identical, only the
-	// execution strategy (and intermediate materialization) differs.
-	Streaming bool
-	// Workers bounds execution-layer concurrency: independent blocks run
-	// on separate goroutines (both engines), and the streaming engine
-	// additionally partitions chain and probe pipelines across workers.
+	// Workers bounds how many independent blocks execute concurrently on
+	// separate goroutines (each block itself runs on one goroutine).
 	// Values <= 1 execute sequentially; observed statistics are identical
 	// either way.
 	Workers int
 	// MaxRows caps the total intermediate rows any single execution may
-	// produce (both engines); a run exceeding it aborts with a clear
+	// produce; a run exceeding it aborts with a clear
 	// intermediate-cardinality-guard error instead of blowing up memory on
 	// skewed joins. 0 runs unguarded.
 	MaxRows int64
@@ -80,11 +75,11 @@ type Config struct {
 	// RetryBackoff is the base inter-attempt delay, doubling per retry,
 	// capped at 100ms (0 = engine default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode runs the batch engine's reference row interpreter instead of
-	// its default columnar executor; results and observations are
-	// identical (the equivalence suite holds every columnar executor to
-	// it). The reference is batch-only and in-process, so RunCtx rejects
-	// RowMode combined with Streaming or a Dispatcher.
+	// RowMode runs the engine's reference row interpreter instead of its
+	// default columnar one; results and observations are identical (the
+	// equivalence suite holds the columnar interpreter to it). The
+	// reference runs in-process only, so RunCtx rejects RowMode combined
+	// with a Dispatcher.
 	RowMode bool
 	// StatsTier selects the statistics observation tier: TierExact (the
 	// default) observes exact counters and per-value histograms only;
@@ -108,7 +103,7 @@ type Config struct {
 	// dispatch layer and internal/serve's Coordinator). Results, observed
 	// statistics and the work metric are byte-identical to local runs.
 	// Incompatible with CollectMetrics (workers do not ship per-operator
-	// metrics), with RowMode (workers run the columnar executors) and with
+	// metrics), with RowMode (workers run the columnar interpreter) and with
 	// adaptive execution (which needs the sequential local scheduler); the
 	// run entry points reject those combinations.
 	Dispatcher engine.BlockDispatcher
@@ -118,10 +113,8 @@ type Config struct {
 // something other than what was asked for, naming the combination.
 func (c Config) check() error {
 	switch {
-	case c.RowMode && c.Streaming:
-		return fmt.Errorf("core: RowMode is incompatible with Streaming (the reference row interpreter is batch-only)")
 	case c.RowMode && c.Dispatcher != nil:
-		return fmt.Errorf("core: RowMode is incompatible with distributed execution (workers run the columnar executors)")
+		return fmt.Errorf("core: RowMode is incompatible with distributed execution (workers run the columnar interpreter)")
 	case c.Dispatcher != nil && c.CollectMetrics:
 		return fmt.Errorf("core: distributed execution is incompatible with CollectMetrics (workers do not ship per-operator metrics)")
 	}
@@ -207,24 +200,8 @@ type Timings struct {
 	Analyze, GenerateCSS, Select, ObserveRun, Optimize time.Duration
 }
 
-// executor abstracts the two execution engines (batch and streaming).
-type executor interface {
-	RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*engine.Result, error)
-}
-
-// newExecutor picks the engine per the configuration.
-func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) executor {
-	if cfg.Streaming {
-		eng := engine.NewStream(an, db, cfg.Registry)
-		eng.Workers = cfg.Workers
-		eng.MaxRows = cfg.MaxRows
-		eng.CollectMetrics = cfg.CollectMetrics
-		eng.Faults = cfg.Faults
-		eng.RetryMax = cfg.RetryMax
-		eng.RetryBackoff = cfg.RetryBackoff
-		eng.Dispatch = cfg.Dispatcher
-		return eng
-	}
+// newEngine builds the engine per the configuration.
+func newEngine(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
 	eng := engine.New(an, db, cfg.Registry)
 	eng.Workers = cfg.Workers
 	eng.MaxRows = cfg.MaxRows
@@ -291,7 +268,7 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 	cy.Timings.Select = time.Since(start)
 
 	start = time.Now()
-	eng := newExecutor(an, db, cfg)
+	eng := newEngine(an, db, cfg)
 	run, err := eng.RunPlansCtx(ctx, nil, res, sel.Observe)
 	cy.Observed = run
 	if run != nil {
@@ -339,7 +316,7 @@ func (cy *Cycle) RunOptimized() (*engine.Result, error) {
 
 // RunOptimizedCtx is RunOptimized under a context.
 func (cy *Cycle) RunOptimizedCtx(ctx context.Context) (*engine.Result, error) {
-	eng := newExecutor(cy.Analysis, cy.db, cy.cfg)
+	eng := newEngine(cy.Analysis, cy.db, cy.cfg)
 	out, err := eng.RunPlansCtx(ctx, cy.Plans.Trees(), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: optimized run: %w", err)

@@ -328,41 +328,6 @@ func TestDriftFromTriggersOnChange(t *testing.T) {
 	}
 }
 
-func TestStreamingCycleMatchesBatch(t *testing.T) {
-	g, cat, db := skewedRetail(t)
-	batchCfg := DefaultConfig()
-	cyB, err := Run(g, cat, db, batchCfg)
-	if err != nil {
-		t.Fatalf("batch cycle: %v", err)
-	}
-	streamCfg := DefaultConfig()
-	streamCfg.Streaming = true
-	cyS, err := Run(g, cat, db, streamCfg)
-	if err != nil {
-		t.Fatalf("streaming cycle: %v", err)
-	}
-	if cyB.Plans.TotalCost != cyS.Plans.TotalCost {
-		t.Fatalf("plan costs differ across engines: %v vs %v", cyB.Plans.TotalCost, cyS.Plans.TotalCost)
-	}
-	full := cyB.CSS.Space(0).Full()
-	a, _ := cyB.Estimator.CardOf(0, full)
-	b, _ := cyS.Estimator.CardOf(0, full)
-	if a != b {
-		t.Fatalf("estimates differ across engines: %d vs %d", a, b)
-	}
-	optS, err := cyS.RunOptimized()
-	if err != nil {
-		t.Fatalf("streaming optimized run: %v", err)
-	}
-	optB, err := cyB.RunOptimized()
-	if err != nil {
-		t.Fatalf("batch optimized run: %v", err)
-	}
-	if optS.Sinks["dw"].Card() != optB.Sinks["dw"].Card() {
-		t.Fatalf("optimized outputs differ: %d vs %d", optS.Sinks["dw"].Card(), optB.Sinks["dw"].Card())
-	}
-}
-
 // noWorkers is a dispatcher with an empty fleet: every session fails to
 // open, so the engine runs the whole workflow in-process.
 type noWorkers struct{}
@@ -372,9 +337,8 @@ func (noWorkers) DispatchRun(context.Context, *engine.DispatchSpec) (engine.RunD
 }
 
 // TestConfigCheck pins which engine-option combinations a cycle accepts.
-// The reference row interpreter exists only in the in-process batch
-// engine, so RowMode with Streaming or a Dispatcher would silently run
-// columnar; a Dispatcher with CollectMetrics would silently drop the
+// The reference row interpreter runs only in-process, so RowMode with a
+// Dispatcher would silently run columnar; a Dispatcher with CollectMetrics would silently drop the
 // remote blocks' metrics. Each rejection names its combination.
 func TestConfigCheck(t *testing.T) {
 	g, cat, db := skewedRetail(t)
@@ -386,10 +350,7 @@ func TestConfigCheck(t *testing.T) {
 		{"default", func(*Config) {}, ""},
 		{"row", func(c *Config) { c.RowMode = true }, ""},
 		{"row metrics", func(c *Config) { c.RowMode, c.CollectMetrics = true, true }, ""},
-		{"stream", func(c *Config) { c.Streaming = true }, ""},
 		{"dispatch", func(c *Config) { c.Dispatcher = noWorkers{} }, ""},
-		{"stream dispatch", func(c *Config) { c.Streaming, c.Dispatcher = true, noWorkers{} }, ""},
-		{"row stream", func(c *Config) { c.RowMode, c.Streaming = true, true }, "RowMode is incompatible with Streaming"},
 		{"row dispatch", func(c *Config) { c.RowMode, c.Dispatcher = true, noWorkers{} }, "RowMode is incompatible with distributed execution"},
 		{"dispatch metrics", func(c *Config) { c.Dispatcher, c.CollectMetrics = noWorkers{}, true }, "incompatible with CollectMetrics"},
 	} {

@@ -98,7 +98,7 @@ func (cy *Cycle) Degraded() bool { return cy.Degradation != nil }
 // failed observations. It mutates store (the run's observation store) by
 // merging everything later runs learn, and returns the degradation report.
 // Only run-level failures (cancellation, permanent operator faults) abort.
-func degrade(ctx context.Context, cy *Cycle, eng executor, u *selector.Universe, res *css.Result, store *stats.Store, first []engine.FailedStat) (*Degradation, error) {
+func degrade(ctx context.Context, cy *Cycle, eng *engine.Engine, u *selector.Universe, res *css.Result, store *stats.Store, first []engine.FailedStat) (*Degradation, error) {
 	deg := &Degradation{}
 	failed := make(map[stats.Key]engine.FailedStat, len(first))
 	for _, f := range first {

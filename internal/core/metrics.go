@@ -49,9 +49,8 @@ func (cy *Cycle) WriteMetrics(w io.Writer, format string) error {
 }
 
 // WriteMetricsTimings summarizes the run's wall-clock split between
-// operator work and statistic-tap observation. Wall times vary run to run
-// (and, in the streaming engine, are cumulative along pipelines), so this
-// is kept out of the deterministic WriteMetrics output.
+// operator work and statistic-tap observation. Wall times vary run to run,
+// so this is kept out of the deterministic WriteMetrics output.
 func (cy *Cycle) WriteMetricsTimings(w io.Writer) {
 	if cy.Metrics == nil {
 		return

@@ -12,9 +12,6 @@ package engine
 // the worker count: the check sequence, and therefore every replan
 // decision, must be deterministic, and with concurrent blocks the set of
 // completed blocks at each boundary would depend on goroutine timing.
-// Intra-block parallelism (chunk/probe partitioning, stream stages) is
-// unaffected, so worker counts still exercise the shard-then-merge
-// discipline inside every block.
 
 import (
 	"github.com/essential-stats/etlopt/internal/physical"

@@ -9,7 +9,6 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
-	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -71,8 +70,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestCancellationAllConfigs cancels instrumented runs mid-flight in all
-// four engine configurations (batch/stream × sequential/parallel) and
+// TestCancellationAllConfigs cancels instrumented runs mid-flight with
+// sequential and parallel block scheduling and
 // checks the three cancellation guarantees:
 //
 //   - the run returns the context's error (wrapped, errors.Is-visible) plus
@@ -99,33 +98,19 @@ func TestCancellationAllConfigs(t *testing.T) {
 		t.Fatalf("golden run: %v", err)
 	}
 
-	type runner interface {
-		RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	}
 	for _, cfg := range []struct {
 		name    string
-		stream  bool
 		workers int
 	}{
-		{"batch/w1", false, 1},
-		{"batch/w4", false, 4},
-		{"stream/w1", true, 1},
-		{"stream/w4", true, 4},
+		{"batch/w1", 1},
+		{"batch/w4", 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cancelled := false
 			for attempt := 0; attempt < 8 && !cancelled; attempt++ {
-				var eng runner
-				if cfg.stream {
-					e := NewStream(an, db, nil)
-					e.Workers = cfg.workers
-					eng = e
-				} else {
-					e := New(an, db, nil)
-					e.Workers = cfg.workers
-					eng = e
-				}
+				eng := New(an, db, nil)
+				eng.Workers = cfg.workers
 				ctx, cancel := context.WithCancel(context.Background())
 				delay := time.Duration(attempt+1) * 500 * time.Microsecond
 				timer := time.AfterFunc(delay, cancel)

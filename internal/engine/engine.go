@@ -1,16 +1,17 @@
 // Package engine executes ETL workflows over materialized tables, the way
-// a batch ETL runtime does. Both engines in this package are thin
-// executors of the shared physical-plan IR (internal/physical): the
-// compiler lowers each optimizable block's input chains, join tree (the
-// designed initial order or any reordering supplied by the optimizer) and
-// pinned top operators into a typed operator DAG with statistic taps
-// already bound to their observation points; the batch engine interprets
-// that DAG a whole operator output at a time, the streaming engine in
-// pipelined chunks, both over column vectors. The batch engine also keeps
-// a sequential row interpreter (RowMode) as the reference every golden
-// test compares the columnar executors against.
+// a batch ETL runtime does. The engine is a thin executor of the shared
+// physical-plan IR (internal/physical): the compiler lowers each
+// optimizable block's input chains, join tree (the designed initial order
+// or any reordering supplied by the optimizer) and pinned top operators
+// into a typed operator DAG with statistic taps already bound to their
+// observation points. The columnar interpreter (runVecBlock) evaluates that
+// DAG a whole operator output at a time over column vectors; independent
+// blocks run concurrently on the inter-block scheduler (Engine.Workers),
+// and each block runs on one goroutine. A sequential row interpreter
+// (RowMode, runBatchBlock) is kept as the reference every golden test
+// compares the columnar interpreter against.
 //
-// The engines realize Sections 3.2.5–3.2.6 of the paper: execution can be
+// The engine realizes Sections 3.2.5–3.2.6 of the paper: execution can be
 // instrumented with per-point statistic collectors (tuple counters,
 // distinct counters, exact frequency histograms, and reject-link
 // observation) so a single execution of the initial plan gathers the
@@ -72,11 +73,11 @@ type Engine struct {
 	RetryBackoff time.Duration
 	// RowMode runs the reference row interpreter (runBatchBlock) instead
 	// of the default columnar one. It is the reference implementation: the
-	// equivalence suite diffs both columnar executors' sinks, materialized
-	// tables, observed statistics, work metric and deterministic metrics
-	// against it on every workflow. It applies to blocks this engine runs
-	// in-process; blocks placed on remote workers through Dispatch run
-	// columnar.
+	// equivalence suite diffs the columnar interpreter's sinks,
+	// materialized tables, observed statistics, work metric and
+	// deterministic metrics against it on every workflow. It applies to
+	// blocks this engine runs in-process; blocks placed on remote workers
+	// through Dispatch run columnar.
 	RowMode bool
 	// AdaptCheck, when non-nil, is consulted after every committed block;
 	// returning true stops the run with a *ReplanSignal. Forces sequential

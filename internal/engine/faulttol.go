@@ -12,13 +12,13 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Fault tolerance for both engines. Three mechanisms compose here:
+// Fault tolerance for the engine. Three mechanisms compose here:
 //
 //   - Cancellation: every run threads a context.Context; the interpreters
-//     poll it at operator boundaries (batch) or every chunk (streaming), so
-//     a run stops promptly without leaking goroutines and without leaving
-//     half-observed statistics in the store (observers only record at end
-//     of stream).
+//     poll it at operator boundaries and inside long joins, so a run stops
+//     promptly without leaking goroutines and without leaving
+//     half-observed statistics in the store (taps only record a complete
+//     operator output).
 //   - Block retry: a block whose attempt fails with a transient fault
 //     re-runs from its (materialized) upstream inputs with capped
 //     exponential backoff. Each attempt works against a private row-budget

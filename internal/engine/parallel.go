@@ -317,12 +317,3 @@ func routeSinks(an *workflow.Analysis, out *Result) error {
 	}
 	return nil
 }
-
-// splitmix64 mixes a 64-bit value; the streaming probe cascade partitions
-// by it so that skewed join keys still spread across workers.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

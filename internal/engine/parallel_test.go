@@ -2,13 +2,78 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
+	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
+	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
+
+// multiset renders a table as a sorted multiset of rows for
+// order-insensitive comparison.
+func multiset(t *data.Table) []string {
+	out := make([]string, 0, len(t.Rows))
+	for _, r := range t.Rows {
+		out = append(out, fmt.Sprint([]int64(r)))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func equalTables(a, b *data.Table) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	ma, mb := multiset(a), multiset(b)
+	if len(ma) != len(mb) {
+		return false
+	}
+	for i := range ma {
+		if ma[i] != mb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// equalStores compares two observation stores value by value.
+func equalStores(t *testing.T, a, b *stats.Store) bool {
+	t.Helper()
+	if a.Len() != b.Len() {
+		t.Logf("store sizes differ: %d vs %d", a.Len(), b.Len())
+		return false
+	}
+	for _, v := range a.Values() {
+		if v.Hist == nil {
+			got, err := b.Scalar(v.Stat)
+			if err != nil || got != v.Scalar {
+				t.Logf("scalar %v: %d vs %d (%v)", v.Stat.Key(), v.Scalar, got, err)
+				return false
+			}
+			continue
+		}
+		h, err := b.Hist(v.Stat)
+		if err != nil || h.Buckets() != v.Hist.Buckets() || h.Total() != v.Hist.Total() {
+			t.Logf("hist %v differs", v.Stat.Key())
+			return false
+		}
+		same := true
+		v.Hist.Each(func(vals []int64, f int64) {
+			if h.Freq(vals...) != f {
+				same = false
+			}
+		})
+		if !same {
+			t.Logf("hist %v bucket mismatch", v.Stat.Key())
+			return false
+		}
+	}
+	return true
+}
 
 // equalResults compares every externally visible part of two engine
 // results: sinks, materialized side tables, observed statistics and the
@@ -39,7 +104,7 @@ func equalResults(t *testing.T, label string, seq, par *Result) {
 }
 
 // TestParallelMatchesSequentialRetail is the cheap smoke check: the retail
-// workflow at Workers=4 must match Workers=1 on both engines.
+// workflow at Workers=4 must match Workers=1.
 func TestParallelMatchesSequentialRetail(t *testing.T) {
 	db, cat := tinyDB()
 	an, err := workflow.Analyze(retailGraph(), cat)
@@ -63,23 +128,13 @@ func TestParallelMatchesSequentialRetail(t *testing.T) {
 		t.Fatalf("parallel batch: %v", err)
 	}
 	equalResults(t, "batch", seqBatch, outB)
-
-	seqStream, err := NewStream(an, db, nil).RunObserved(res, observe)
-	if err != nil {
-		t.Fatalf("sequential stream: %v", err)
-	}
-	parStream := NewStream(an, db, nil)
-	parStream.Workers = 4
-	outS, err := parStream.RunObserved(res, observe)
-	if err != nil {
-		t.Fatalf("parallel stream: %v", err)
-	}
-	equalResults(t, "stream", seqStream, outS)
 }
 
 // TestParallelMatchesSequentialFuzz is the harsh version of the check:
 // random workflows (including multi-block ones with reject links and
-// chains), observing everything observable, at several worker counts.
+// chains), observing everything observable, at several worker counts. The
+// sequential columnar run is itself held to the reference row interpreter,
+// covering workflow shapes the suite's equivalence golden does not.
 func TestParallelMatchesSequentialFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign skipped in -short mode")
@@ -102,10 +157,13 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential batch: %v", err)
 			}
-			seqStream, err := NewStream(an, db, nil).RunObserved(res, observe)
+			ref := New(an, db, nil)
+			ref.RowMode = true
+			refOut, err := ref.RunObserved(res, observe)
 			if err != nil {
-				t.Fatalf("sequential stream: %v", err)
+				t.Fatalf("reference: %v", err)
 			}
+			equalResults(t, "batch vs reference", refOut, seqBatch)
 			for _, w := range []int{2, 4} {
 				eb := New(an, db, nil)
 				eb.Workers = w
@@ -114,14 +172,6 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 					t.Fatalf("batch workers=%d: %v", w, err)
 				}
 				equalResults(t, fmt.Sprintf("batch workers=%d", w), seqBatch, outB)
-
-				es := NewStream(an, db, nil)
-				es.Workers = w
-				outS, err := es.RunObserved(res, observe)
-				if err != nil {
-					t.Fatalf("stream workers=%d: %v", w, err)
-				}
-				equalResults(t, fmt.Sprintf("stream workers=%d", w), seqStream, outS)
 			}
 		})
 	}
@@ -170,30 +220,13 @@ func TestBlockDAGParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	for _, mk := range []func() interface {
-		Run() (*Result, error)
-	}{
-		func() interface {
-			Run() (*Result, error)
-		} {
-			e := New(an, db, nil)
-			e.Workers = 4
-			return e
-		},
-		func() interface {
-			Run() (*Result, error)
-		} {
-			e := NewStream(an, db, nil)
-			e.Workers = 4
-			return e
-		},
-	} {
-		out, err := mk().Run()
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
-		}
-		equalResults(t, "dag", seq, out)
+	par := New(an, db, nil)
+	par.Workers = 4
+	out, err := par.Run()
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
 	}
+	equalResults(t, "dag", seq, out)
 }
 
 // TestParallelErrorDeterministic: when several blocks fail, the reported

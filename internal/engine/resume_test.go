@@ -11,15 +11,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// resumableEngine is the surface the checkpoint/resume edge-case tests
-// exercise on both engines.
-type resumableEngine interface {
-	RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	RunPlansObserving(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	ResumeObserving(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-}
-
 // resumeFixture holds the shared multi-block workflow under test.
 type resumeFixture struct {
 	an      *workflow.Analysis
@@ -45,22 +36,18 @@ func newResumeFixture(t *testing.T) *resumeFixture {
 	return &resumeFixture{an: an, db: db, res: res, observe: res.ObservableStats()}
 }
 
-// engine builds a batch or stream engine over the fixture, optionally
-// faulted.
-func (f *resumeFixture) engine(stream bool, flt *faults.Injector) resumableEngine {
-	if stream {
-		e := NewStream(f.an, f.db, nil)
-		e.Faults = flt
-		return e
-	}
+// engine builds an engine over the fixture running the reference row
+// interpreter or the columnar one, optionally faulted.
+func (f *resumeFixture) engine(rowMode bool, flt *faults.Injector) *Engine {
 	e := New(f.an, f.db, nil)
+	e.RowMode = rowMode
 	e.Faults = flt
 	return e
 }
 
 // run executes the instrumented initial plan, with or without the
 // initial-plan observability filter.
-func (f *resumeFixture) run(e resumableEngine, anyPoint bool) (*Result, error) {
+func (f *resumeFixture) run(e *Engine, anyPoint bool) (*Result, error) {
 	if anyPoint {
 		return e.RunPlansObserving(nil, f.res, f.observe)
 	}
@@ -68,7 +55,7 @@ func (f *resumeFixture) run(e resumableEngine, anyPoint bool) (*Result, error) {
 }
 
 // resume continues from a checkpoint with the matching observation mode.
-func (f *resumeFixture) resume(e resumableEngine, cp *Checkpoint, anyPoint bool) (*Result, error) {
+func (f *resumeFixture) resume(e *Engine, cp *Checkpoint, anyPoint bool) (*Result, error) {
 	if anyPoint {
 		return e.ResumeObserving(context.Background(), cp, nil, f.res, f.observe)
 	}
@@ -78,11 +65,11 @@ func (f *resumeFixture) resume(e resumableEngine, cp *Checkpoint, anyPoint bool)
 // failingCheckpoint finds (deterministically — the injector is a pure
 // function of its seed) a permanent fault pattern that fails the run after
 // at least one block completed, and returns the *BlockFailure checkpoint.
-func (f *resumeFixture) failingCheckpoint(t *testing.T, stream, anyPoint bool) *Checkpoint {
+func (f *resumeFixture) failingCheckpoint(t *testing.T, rowMode, anyPoint bool) *Checkpoint {
 	t.Helper()
 	for seed := uint64(1); seed <= 200; seed++ {
 		inj := faults.New(seed, 0.5, 0, faults.SourceRead|faults.Operator)
-		_, err := f.run(f.engine(stream, inj), anyPoint)
+		_, err := f.run(f.engine(rowMode, inj), anyPoint)
 		var bf *BlockFailure
 		if errors.As(err, &bf) && len(bf.Checkpoint.BlockOut) > 0 {
 			return bf.Checkpoint
@@ -95,13 +82,13 @@ func (f *resumeFixture) failingCheckpoint(t *testing.T, stream, anyPoint bool) *
 // TestResumeEmptyPendingCone resumes a checkpoint that already contains
 // every block: nothing re-executes, and the result — sinks routed from the
 // checkpointed outputs, work metric, observed statistics — must equal the
-// original run on both engines and in both observation modes.
+// original run on both interpreters and in both observation modes.
 func TestResumeEmptyPendingCone(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
+	for _, rowMode := range []bool{false, true} {
 		for _, anyPoint := range []bool{false, true} {
-			name := engineLabel(stream) + observeLabel(anyPoint)
-			clean, err := f.run(f.engine(stream, nil), anyPoint)
+			name := interpreterLabel(rowMode) + observeLabel(anyPoint)
+			clean, err := f.run(f.engine(rowMode, nil), anyPoint)
 			if err != nil {
 				t.Fatalf("%s: clean run: %v", name, err)
 			}
@@ -111,7 +98,7 @@ func TestResumeEmptyPendingCone(t *testing.T) {
 				Rows:         clean.Rows,
 				Observed:     clean.Observed,
 			}
-			resumed, err := f.resume(f.engine(stream, nil), cp, anyPoint)
+			resumed, err := f.resume(f.engine(rowMode, nil), cp, anyPoint)
 			if err != nil {
 				t.Fatalf("%s: resume of a complete checkpoint: %v", name, err)
 			}
@@ -123,26 +110,26 @@ func TestResumeEmptyPendingCone(t *testing.T) {
 	}
 }
 
-// TestResumeSameCheckpointTwice resumes one failure checkpoint twice (and
-// across engines): both resumes must complete and match the clean run —
+// TestResumeSameCheckpointTwice resumes one failure checkpoint twice on
+// each interpreter: both resumes must complete and match the clean run —
 // the write-once statistics store and the block-skip logic make resumption
 // idempotent.
 func TestResumeSameCheckpointTwice(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
+	for _, rowMode := range []bool{false, true} {
 		for _, anyPoint := range []bool{false, true} {
-			name := engineLabel(stream) + observeLabel(anyPoint)
-			clean, err := f.run(f.engine(stream, nil), anyPoint)
+			name := interpreterLabel(rowMode) + observeLabel(anyPoint)
+			clean, err := f.run(f.engine(rowMode, nil), anyPoint)
 			if err != nil {
 				t.Fatalf("%s: clean run: %v", name, err)
 			}
-			cp := f.failingCheckpoint(t, stream, anyPoint)
-			first, err := f.resume(f.engine(stream, nil), cp, anyPoint)
+			cp := f.failingCheckpoint(t, rowMode, anyPoint)
+			first, err := f.resume(f.engine(rowMode, nil), cp, anyPoint)
 			if err != nil {
 				t.Fatalf("%s: first resume: %v", name, err)
 			}
 			equalResults(t, name+"/first-resume", clean, first)
-			second, err := f.resume(f.engine(stream, nil), cp, anyPoint)
+			second, err := f.resume(f.engine(rowMode, nil), cp, anyPoint)
 			if err != nil {
 				t.Fatalf("%s: second resume of the same checkpoint: %v", name, err)
 			}
@@ -151,31 +138,31 @@ func TestResumeSameCheckpointTwice(t *testing.T) {
 	}
 }
 
-// TestResumeCrossEngine pins the Checkpoint's engine independence: a
-// checkpoint produced by the batch engine resumes on the stream engine
-// (and vice versa) with identical results.
+// TestResumeCrossEngine pins the Checkpoint's interpreter independence: a
+// checkpoint produced by the reference row interpreter resumes on the
+// columnar one (and vice versa) with results identical to a clean run.
 func TestResumeCrossEngine(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, fromStream := range []bool{false, true} {
-		name := "from-" + engineLabel(fromStream)
-		clean, err := f.run(f.engine(!fromStream, nil), false)
+	for _, fromRow := range []bool{false, true} {
+		name := "from-" + interpreterLabel(fromRow)
+		clean, err := f.run(f.engine(!fromRow, nil), false)
 		if err != nil {
 			t.Fatalf("%s: clean run: %v", name, err)
 		}
-		cp := f.failingCheckpoint(t, fromStream, false)
-		got, err := f.resume(f.engine(!fromStream, nil), cp, false)
+		cp := f.failingCheckpoint(t, fromRow, false)
+		got, err := f.resume(f.engine(!fromRow, nil), cp, false)
 		if err != nil {
-			t.Fatalf("%s: cross-engine resume: %v", name, err)
+			t.Fatalf("%s: cross-interpreter resume: %v", name, err)
 		}
 		equalResults(t, name, clean, got)
 	}
 }
 
-func engineLabel(stream bool) string {
-	if stream {
-		return "stream"
+func interpreterLabel(rowMode bool) string {
+	if rowMode {
+		return "row"
 	}
-	return "batch"
+	return "vec"
 }
 
 func observeLabel(anyPoint bool) string {

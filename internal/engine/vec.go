@@ -138,8 +138,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 
 // vecApplyOp evaluates one per-row or blocking unary operator over a batch,
 // allocating from the arena. The compiler already resolved columns and
-// functions, so evaluation cannot fail. Shared by the batch and streaming
-// columnar interpreters (the streaming one applies it per worker chunk).
+// functions, so evaluation cannot fail.
 func vecApplyOp(n *physical.Node, in *batch.Batch, a *batch.Arena) *batch.Batch {
 	switch n.Kind {
 	case physical.OpFilter:

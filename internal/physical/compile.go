@@ -193,7 +193,7 @@ func (c *compiler) compileChain(p *Plan, blk *workflow.Block, i int, add func(*N
 
 // compileOp lowers one unary operator — the single definition of operator
 // schema evolution shared by chains and top operators, and (through the
-// executors) by the batch and streaming engines.
+// interpreters) by every execution.
 func (c *compiler) compileOp(in *Node, op *workflow.Node) (*Node, error) {
 	n := &Node{Input: in, Origin: op.ID, ChainInput: -1, FromBlock: -1, Edge: -1}
 	switch op.Kind {
@@ -439,7 +439,7 @@ func (c *compiler) resolveTap(s stats.Stat, attrs []workflow.Attr) (Tap, error) 
 	if s.Kind == stats.CMHist {
 		// Count-min buckets over the attribute's full catalog domain
 		// ([1, |a|] in this framework); resolving the spec here, once, keeps
-		// every observer shard on an identical layout so merges are exact
+		// every observation on an identical layout so merges are exact
 		// counter additions.
 		dom, err := c.an.Cat.Domain(phys[0])
 		if err != nil {

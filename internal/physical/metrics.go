@@ -13,40 +13,26 @@ import (
 // attached to the node (observers, reject collection and the auxiliary
 // union–division joins).
 //
-// Semantics per engine:
+// Semantics:
 //
 //   - RowsOut and the derived RowsIn are execution-strategy independent:
-//     both engines, at any worker count, report identical values (the
-//     cross-engine equivalence test pins this).
-//   - Calls counts operator invocations: 1 per batch evaluation, one per
-//     pipeline shard in the streaming engine — a worker-count-dependent
-//     diagnostic, excluded from the deterministic report.
-//   - WallNanos and TapNanos are per-operator in the batch engine (inputs
-//     are already materialized when an operator runs). The streaming
-//     engine interleaves operators and observers chunk by chunk and
-//     leaves both at zero. Wall times are wall-clock and therefore never
-//     part of deterministic output.
+//     both interpreters, at any worker count, report identical values (the
+//     equivalence suite pins this).
+//   - Calls counts operator invocations (1 per evaluation), excluded from
+//     the deterministic report.
+//   - WallNanos and TapNanos are per-operator (inputs are already
+//     materialized when an operator runs). They are wall-clock and
+//     therefore never part of deterministic output.
 type Metrics struct {
 	// RowsOut counts rows the operator emitted.
 	RowsOut int64
-	// Calls counts operator invocations (batch: 1; streaming: shards).
+	// Calls counts operator invocations.
 	Calls int64
 	// WallNanos is time spent producing the node's rows, excluding
 	// TapNanos.
 	WallNanos int64
 	// TapNanos is the statistic-tap observation overhead at this node.
 	TapNanos int64
-}
-
-// Merge folds another shard of the same node's metrics into m — the
-// worker-parallel paths give every worker a private shard and merge after
-// the operator drains, exactly like the statistic-observer shards, so
-// enabling metrics never perturbs observed statistics.
-func (m *Metrics) Merge(o *Metrics) {
-	m.RowsOut += o.RowsOut
-	m.Calls += o.Calls
-	m.WallNanos += o.WallNanos
-	m.TapNanos += o.TapNanos
 }
 
 // NodeMetrics is one node's metrics snapshot, carrying enough identity to

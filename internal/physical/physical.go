@@ -1,6 +1,6 @@
 // Package physical lowers analyzed workflow blocks into a typed physical
-// operator DAG — the shared intermediate representation both execution
-// engines interpret. The compiler resolves everything that can be decided
+// operator DAG — the intermediate representation the engine's interpreters
+// execute. The compiler resolves everything that can be decided
 // before the first row flows: operator schemas, column positions, UDF
 // implementations, hash-join sides and probe/build columns, reject-link
 // routing, and — centrally — the *tap attachment points*: which selected
@@ -8,10 +8,10 @@
 // already bound (the paper's Section 3.2.5 instrumentation, made
 // declarative).
 //
-// The batch engine interprets the DAG a whole operator output at a time,
-// the streaming engine pipelines it in chunks, and the worker-parallel
-// paths schedule its nodes across goroutines; all of them read the same nodes, so operator
-// semantics, observer wiring and reject routing live in exactly one place.
+// The columnar interpreter and the reference row interpreter both evaluate
+// the DAG a whole operator output at a time and read the same nodes, so
+// operator semantics, observer wiring and reject routing live in exactly
+// one place.
 package physical
 
 import (
@@ -107,8 +107,8 @@ func (k OpKind) String() string {
 // physical column positions of the statistic's (class-representative)
 // attributes, resolved at compile time; Card taps need no columns. CMHist
 // taps additionally carry the bucket spec, resolved from the attribute's
-// catalog domain at compile time so every worker shard buckets
-// identically.
+// catalog domain at compile time so every execution, local or on a
+// remote worker, buckets identically.
 type Tap struct {
 	Stat stats.Stat
 	Cols []int

@@ -47,10 +47,8 @@ type RunSpec struct {
 	// WF and Scale pin the suite workflow and its generated data.
 	WF    int
 	Scale float64
-	// Streaming, Workers, MaxRows, Faults, RetryMax and RetryBackoff
-	// mirror the coordinator-side engine configuration.
-	Streaming    bool
-	Workers      int
+	// MaxRows, Faults, RetryMax and RetryBackoff mirror the
+	// coordinator-side engine configuration.
 	MaxRows      int64
 	Faults       string
 	RetryMax     int
@@ -160,8 +158,6 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 		base: WorkerRunRequest{
 			WF:             c.run.WF,
 			Scale:          c.run.Scale,
-			Streaming:      c.run.Streaming,
-			Workers:        c.run.Workers,
 			MaxRows:        c.run.MaxRows,
 			Faults:         c.run.Faults,
 			RetryMax:       c.run.RetryMax,

@@ -109,15 +109,14 @@ func startFreezableWorker(t *testing.T) *httptest.Server {
 }
 
 // distConfig builds a run configuration dispatching to the given workers.
-func distConfig(t *testing.T, wf int, streaming bool, addrs []string, tune func(*CoordinatorOptions)) core.Config {
+func distConfig(t *testing.T, wf int, addrs []string, tune func(*CoordinatorOptions)) core.Config {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.Streaming = streaming
 	opt := CoordinatorOptions{Addrs: addrs}
 	if tune != nil {
 		tune(&opt)
 	}
-	coord, err := NewCoordinator(RunSpec{WF: wf, Scale: distScale, Streaming: streaming, CSS: cfg.CSS}, opt)
+	coord, err := NewCoordinator(RunSpec{WF: wf, Scale: distScale, CSS: cfg.CSS}, opt)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -141,11 +140,9 @@ func runCycleOf(t *testing.T, wf int, cfg core.Config) *engine.Result {
 }
 
 // localRun is the single-process reference execution.
-func localRun(t *testing.T, wf int, streaming bool) *engine.Result {
+func localRun(t *testing.T, wf int) *engine.Result {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Streaming = streaming
-	return runCycleOf(t, wf, cfg)
+	return runCycleOf(t, wf, core.DefaultConfig())
 }
 
 // storeBytes renders an observed store into its canonical v2 byte form.
@@ -179,42 +176,31 @@ func assertRunsEqual(t *testing.T, name string, want, got *engine.Result) {
 	}
 }
 
-// engineName labels the matrix legs.
-func engineName(streaming bool) string {
-	if streaming {
-		return "stream"
-	}
-	return "batch"
-}
-
 // TestDistributedEquivalenceWorkerKilledMidRun is the acceptance golden:
 // two workers, one SIGKILLed after its first completed block, under
 // deterministic network faults — the distributed run must be
-// byte-identical to the single-process run on both engines.
+// byte-identical to the single-process run.
 func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 	for _, wf := range distWorkflows {
-		for _, streaming := range []bool{false, true} {
-			name := engineName(streaming)
-			t.Run(name+"/wf"+itoa2(wf), func(t *testing.T) {
-				want := localRun(t, wf, streaming)
-				victim := startKillableWorker(t)
-				survivor := startWorker(t)
-				cfg := distConfig(t, wf, streaming, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
-					o.Faults = faults.New(11, 1, 1, faults.Network)
-				})
-				got := runCycleOf(t, wf, cfg)
-				assertRunsEqual(t, name, want, got)
-				if got.Dist == nil {
-					t.Fatal("distributed run carries no DistReport")
-				}
-				if got.Dist.FellBack {
-					t.Errorf("run fell back in-process (%s); a surviving worker should have absorbed the blocks", got.Dist.Reason)
-				}
-				if len(got.Dist.Remote) == 0 {
-					t.Error("no blocks executed remotely")
-				}
+		t.Run("batch/wf"+itoa2(wf), func(t *testing.T) {
+			want := localRun(t, wf)
+			victim := startKillableWorker(t)
+			survivor := startWorker(t)
+			cfg := distConfig(t, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
+				o.Faults = faults.New(11, 1, 1, faults.Network)
 			})
-		}
+			got := runCycleOf(t, wf, cfg)
+			assertRunsEqual(t, "batch", want, got)
+			if got.Dist == nil {
+				t.Fatal("distributed run carries no DistReport")
+			}
+			if got.Dist.FellBack {
+				t.Errorf("run fell back in-process (%s); a surviving worker should have absorbed the blocks", got.Dist.Reason)
+			}
+			if len(got.Dist.Remote) == 0 {
+				t.Error("no blocks executed remotely")
+			}
+		})
 	}
 }
 
@@ -222,42 +208,39 @@ func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 // coordinator must finish in-process from the last checkpoint and report
 // the degradation — outputs still byte-identical, never partial.
 func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		name := engineName(streaming)
-		t.Run(name, func(t *testing.T) {
-			const wf = 8 // 3 blocks: remote progress, then local completion
-			want := localRun(t, wf, streaming)
-			a := startKillableWorker(t)
-			b := startKillableWorker(t)
-			cfg := distConfig(t, wf, streaming, []string{a.URL, b.URL}, nil)
-			got := runCycleOf(t, wf, cfg)
-			assertRunsEqual(t, name, want, got)
-			d := got.Dist
-			if d == nil {
-				t.Fatal("distributed run carries no DistReport")
+	t.Run("batch", func(t *testing.T) {
+		const wf = 8 // 3 blocks: remote progress, then local completion
+		want := localRun(t, wf)
+		a := startKillableWorker(t)
+		b := startKillableWorker(t)
+		cfg := distConfig(t, wf, []string{a.URL, b.URL}, nil)
+		got := runCycleOf(t, wf, cfg)
+		assertRunsEqual(t, "batch", want, got)
+		d := got.Dist
+		if d == nil {
+			t.Fatal("distributed run carries no DistReport")
+		}
+		if !d.FellBack {
+			t.Fatal("expected the run to fall back in-process after losing every worker")
+		}
+		if d.Reason == "" {
+			t.Error("fallback carries no reason")
+		}
+		if len(d.Remote)+len(d.Local) == 0 {
+			t.Error("report lists no executed blocks")
+		}
+		if len(d.LostWorkers) != 2 {
+			t.Errorf("want 2 lost workers, got %v", d.LostWorkers)
+		}
+		// Never a partial result: every sink of the local reference is
+		// present and full.
+		for name, tbl := range want.Sinks {
+			g, ok := got.Sinks[name]
+			if !ok || len(g.Rows) != len(tbl.Rows) {
+				t.Errorf("sink %q incomplete after fallback", name)
 			}
-			if !d.FellBack {
-				t.Fatal("expected the run to fall back in-process after losing every worker")
-			}
-			if d.Reason == "" {
-				t.Error("fallback carries no reason")
-			}
-			if len(d.Remote)+len(d.Local) == 0 {
-				t.Error("report lists no executed blocks")
-			}
-			if len(d.LostWorkers) != 2 {
-				t.Errorf("want 2 lost workers, got %v", d.LostWorkers)
-			}
-			// Never a partial result: every sink of the local reference is
-			// present and full.
-			for name, tbl := range want.Sinks {
-				g, ok := got.Sinks[name]
-				if !ok || len(g.Rows) != len(tbl.Rows) {
-					t.Errorf("sink %q incomplete after fallback", name)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDistributedNetworkFaultMatrix runs the Network fault kind across its
@@ -266,7 +249,7 @@ func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
 // in-process fallback — byte-identical outputs either way.
 func TestDistributedNetworkFaultMatrix(t *testing.T) {
 	const wf = 8 // 3 blocks: three distinct "net:block:<idx>" fault sites
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 
 	t.Run("transient", func(t *testing.T) {
 		// Several seeds so the mode hash covers drop, delay and truncate
@@ -274,7 +257,7 @@ func TestDistributedNetworkFaultMatrix(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3, 7, 11} {
 			inj := faults.New(seed, 1, 1, faults.Network)
 			w1, w2 := startWorker(t), startWorker(t)
-			cfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
+			cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
 				o.Faults = inj
 			})
 			got := runCycleOf(t, wf, cfg)
@@ -290,7 +273,7 @@ func TestDistributedNetworkFaultMatrix(t *testing.T) {
 		// and the run must complete locally, whole.
 		inj := faults.New(5, 1, 0, faults.Network)
 		w1, w2 := startWorker(t), startWorker(t)
-		cfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
+		cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
 			o.Faults = inj
 		})
 		got := runCycleOf(t, wf, cfg)
@@ -324,9 +307,9 @@ func startOversizeWorker(t *testing.T) *httptest.Server {
 // silent truncation, outputs identical.
 func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 	const wf = 6
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 	big := startOversizeWorker(t)
-	cfg := distConfig(t, wf, false, []string{big.URL}, nil)
+	cfg := distConfig(t, wf, []string{big.URL}, nil)
 	got := runCycleOf(t, wf, cfg)
 	assertRunsEqual(t, "oversize", want, got)
 	if got.Dist == nil || !got.Dist.FellBack {
@@ -342,10 +325,10 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 // cancel the in-flight request and reassign — outputs stay identical.
 func TestDistributedHungWorkerLeaseExpiry(t *testing.T) {
 	const wf = 8
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 	frozen := startFreezableWorker(t)
 	healthy := startWorker(t)
-	cfg := distConfig(t, wf, false, []string{frozen.URL, healthy.URL}, func(o *CoordinatorOptions) {
+	cfg := distConfig(t, wf, []string{frozen.URL, healthy.URL}, func(o *CoordinatorOptions) {
 		o.HeartbeatEvery = 50 * time.Millisecond
 		o.LeaseTTL = 300 * time.Millisecond
 	})
@@ -391,7 +374,7 @@ func TestDistributedUninstrumentedPlansRun(t *testing.T) {
 	}
 
 	w1, w2 := startWorker(t), startWorker(t)
-	dcfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, nil)
+	dcfg := distConfig(t, wf, []string{w1.URL, w2.URL}, nil)
 	dcy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, w.Data(distScale), dcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +400,7 @@ func TestCoordinatorRejectsEmptyFleet(t *testing.T) {
 // CollectMetrics is a configuration error, not a silent local run.
 func TestDistributedRejectsMetrics(t *testing.T) {
 	w1 := startWorker(t)
-	cfg := distConfig(t, 6, false, []string{w1.URL}, nil)
+	cfg := distConfig(t, 6, []string{w1.URL}, nil)
 	cfg.CollectMetrics = true
 	wf, err := suite.Get(6)
 	if err != nil {

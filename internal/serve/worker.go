@@ -65,10 +65,6 @@ type WorkerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
-	// Streaming selects the pipelined engine; Workers the block-internal
-	// parallelism.
-	Streaming bool `json:"streaming,omitempty"`
-	Workers   int  `json:"workers,omitempty"`
 	// MaxRows caps this block's intermediate rows (the coordinator ships
 	// its per-run budget; in distributed mode the cap applies per
 	// worker-block).
@@ -192,24 +188,12 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerR
 		}
 		upstream[idx] = tbl
 	}
-	var rb *engine.RemoteBlock
-	if req.Streaming {
-		eng := engine.NewStream(st.an, st.db, nil)
-		eng.Workers = req.Workers
-		eng.MaxRows = req.MaxRows
-		eng.Faults = flt
-		eng.RetryMax = req.RetryMax
-		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
-	} else {
-		eng := engine.New(st.an, st.db, nil)
-		eng.Workers = req.Workers
-		eng.MaxRows = req.MaxRows
-		eng.Faults = flt
-		eng.RetryMax = req.RetryMax
-		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
-	}
+	eng := engine.New(st.an, st.db, nil)
+	eng.MaxRows = req.MaxRows
+	eng.Faults = flt
+	eng.RetryMax = req.RetryMax
+	eng.RetryBackoff = durationNs(req.RetryBackoffNs)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

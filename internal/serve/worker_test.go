@@ -20,6 +20,8 @@ func TestWorkerRunErrorStatuses(t *testing.T) {
 		wantErr            string
 	}{
 		{"removed row_mode field", http.MethodPost, `{"wf":3,"scale":0.001,"row_mode":true,"block":0}`, http.StatusBadRequest, `unknown field "row_mode"`},
+		{"removed streaming field", http.MethodPost, `{"wf":3,"scale":0.001,"streaming":true,"block":0}`, http.StatusBadRequest, `unknown field "streaming"`},
+		{"removed workers field", http.MethodPost, `{"wf":3,"scale":0.001,"workers":2,"block":0}`, http.StatusBadRequest, `unknown field "workers"`},
 		{"malformed json", http.MethodPost, `{"wf":3,`, http.StatusBadRequest, "bad request body"},
 		{"bad faults spec", http.MethodPost, `{"wf":3,"scale":0.001,"faults":"rate=2","block":0}`, http.StatusBadRequest, "faults: rate"},
 		{"unknown workflow", http.MethodPost, `{"wf":999,"scale":0.001,"block":0}`, http.StatusNotFound, ""},

@@ -159,10 +159,9 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // Merge folds every bucket of other into h. Both histograms must range
-// over the same attribute set. The parallel engine gives each worker a
-// private histogram shard and merges the shards after the operator drains;
-// because bucket counts are integers, addition is associative and the
-// merged histogram is bit-identical to a sequential observation.
+// over the same attribute set. Bucket counts are integers, so addition is
+// associative and the merged histogram is bit-identical to one observation
+// of the combined input.
 func (h *Histogram) Merge(other *Histogram) error {
 	if workflow.AttrsString(h.Attrs) != workflow.AttrsString(other.Attrs) {
 		return fmt.Errorf("merge: attribute sets differ: %s vs %s",

@@ -6,8 +6,8 @@ import (
 )
 
 // The sketch tier: bounded-memory approximate observers whose merges are
-// deterministic and order-independent, so the engines' shard-then-merge
-// discipline produces bit-identical sketches at any worker count.
+// deterministic and order-independent, so sketches observed over disjoint
+// parts of an input combine into the sketch of the whole input.
 //
 //   - HLL is a HyperLogLog register file backing the HLLDistinct kind;
 //     shards combine by register-wise max.

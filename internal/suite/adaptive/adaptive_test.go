@@ -1,6 +1,6 @@
 // Package adaptive holds the suite-wide contract tests for mid-run
 // adaptive re-optimization. They live outside package suite so the full
-// 30-workflow × 5-configuration splice matrix gets its own go test
+// 30-workflow × 3-configuration splice matrix gets its own go test
 // package budget instead of eating the cross-engine goldens'.
 package adaptive
 
@@ -21,23 +21,20 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// engineConfig is one engine × interpreter × worker-count combination.
+// engineConfig is one interpreter × worker-count combination.
 type engineConfig struct {
 	name    string
 	rowMode bool
-	stream  bool
 	workers int
 }
 
-// engineConfigs mirrors the cross-engine golden's matrix: the batch
-// engine's reference row interpreter, then the columnar batch and streaming
-// executors, each sequential and worker-parallel.
+// engineConfigs mirrors the cross-interpreter golden's matrix: the
+// reference row interpreter, then the columnar interpreter sequential and
+// with worker-parallel block scheduling.
 var engineConfigs = []engineConfig{
-	{"row batch w1", true, false, 1},
-	{"vec batch w1", false, false, 1},
-	{"vec batch w4", false, false, 4},
-	{"vec stream w1", false, true, 1},
-	{"vec stream w4", false, true, 4},
+	{"row batch w1", true, 1},
+	{"vec batch w1", false, 1},
+	{"vec batch w4", false, 4},
 }
 
 // configNamed returns the matrix entry with the given name.
@@ -60,11 +57,6 @@ var forcedSkew = map[int]float64{0: 4}
 // configuration, instrumented the way the adaptive driver instruments its
 // segments (any-point observation of the selected statistics).
 func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, inj *faults.Injector) (*engine.Result, error) {
-	if cfg.stream {
-		e := engine.NewStream(an, db, nil)
-		e.Workers, e.CollectMetrics, e.Faults = cfg.workers, true, inj
-		return e.RunPlansObserving(plans, res, observe)
-	}
 	e := engine.New(an, db, nil)
 	e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, true, inj
 	return e.RunPlansObserving(plans, res, observe)
@@ -94,7 +86,7 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 					continue
 				}
 				c := core.DefaultConfig()
-				c.RowMode, c.Streaming, c.Workers = cfg.rowMode, cfg.stream, cfg.workers
+				c.RowMode, c.Workers = cfg.rowMode, cfg.workers
 				cy, err := core.Run(w.Graph, w.Catalog, db, c)
 				if err != nil {
 					t.Fatalf("%s: Run: %v", cfg.name, err)
@@ -182,32 +174,28 @@ func TestAdaptiveReplanUnderFaults(t *testing.T) {
 	inj := faults.New(1, 1, 1, 0)
 	for _, id := range []int{8, 13, 24} { // multi-block workflows
 		w := suite.MustGet(id)
-		for _, stream := range []bool{false, true} {
-			label := fmt.Sprintf("%s stream=%v", w.Name, stream)
-			c := core.DefaultConfig()
-			c.Streaming = stream
-			c.Faults = inj
-			cy, err := core.Run(w.Graph, w.Catalog, w.Data(scale), c)
-			if err != nil {
-				t.Fatalf("%s: Run: %v", label, err)
-			}
-			ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
-			if err != nil {
-				t.Fatalf("%s: adaptive run under faults: %v", label, err)
-			}
-			if len(ar.Replans) == 0 {
-				t.Fatalf("%s: forced replan did not fire", label)
-			}
-			cfg := engineConfig{name: label, rowMode: false, stream: stream, workers: 1}
-			cold, err := runPlansConfig(cfg, cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
-			if err != nil {
-				t.Fatalf("%s: cold run under faults: %v", label, err)
-			}
-			if cold.Retries == 0 {
-				t.Fatalf("%s: injector fired no transient faults — the matrix is vacuous", label)
-			}
-			diffAdaptive(t, label, cold, ar.Run)
+		label := w.Name
+		c := core.DefaultConfig()
+		c.Faults = inj
+		cy, err := core.Run(w.Graph, w.Catalog, w.Data(scale), c)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", label, err)
 		}
+		ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
+		if err != nil {
+			t.Fatalf("%s: adaptive run under faults: %v", label, err)
+		}
+		if len(ar.Replans) == 0 {
+			t.Fatalf("%s: forced replan did not fire", label)
+		}
+		cold, err := runPlansConfig(configNamed(t, "vec batch w1"), cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
+		if err != nil {
+			t.Fatalf("%s: cold run under faults: %v", label, err)
+		}
+		if cold.Retries == 0 {
+			t.Fatalf("%s: injector fired no transient faults — the matrix is vacuous", label)
+		}
+		diffAdaptive(t, label, cold, ar.Run)
 	}
 }
 

@@ -20,42 +20,34 @@ import (
 type engineConfig struct {
 	name    string
 	rowMode bool
-	stream  bool
 	workers int
 }
 
-// engineConfigs enumerates every interpreter the contract covers: the
-// batch engine's reference row interpreter, then the columnar batch and
-// streaming executors, each sequential and worker-parallel. The reference
-// (first) is the golden every other leg is diffed against.
+// engineConfigs enumerates every configuration the contract covers: the
+// reference row interpreter, then the columnar interpreter sequential and
+// with worker-parallel block scheduling. The reference (first) is the
+// golden every other leg is diffed against.
 var engineConfigs = []engineConfig{
-	{"row batch w1", true, false, 1},
-	{"vec batch w1", false, false, 1},
-	{"vec batch w4", false, false, 4},
-	{"vec stream w1", false, true, 1},
-	{"vec stream w4", false, true, 4},
+	{"row batch w1", true, 1},
+	{"vec batch w1", false, 1},
+	{"vec batch w4", false, 4},
 }
 
 // runConfig executes one compiled plan under one engine configuration.
 func runConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, res *css.Result, observe []stats.Stat, metrics bool, inj *faults.Injector) (*engine.Result, error) {
-	if cfg.stream {
-		e := engine.NewStream(an, db, nil)
-		e.Workers, e.CollectMetrics, e.Faults = cfg.workers, metrics, inj
-		return e.RunObserved(res, observe)
-	}
 	e := engine.New(an, db, nil)
 	e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, metrics, inj
 	return e.RunObserved(res, observe)
 }
 
-// TestEngineEquivalenceGolden is the cross-engine contract check: over
-// every suite workflow, the columnar interpreters of both engines —
-// sequential and worker-parallel — must produce sinks, materialized
+// TestEngineEquivalenceGolden is the cross-interpreter contract check: over
+// every suite workflow, the columnar interpreter — sequential and with
+// worker-parallel block scheduling — must produce sinks, materialized
 // tables, observed statistics and work metric identical to the reference
 // row interpreter's from one compiled physical plan. Any divergence means
 // an interpreter strayed from the shared IR's semantics. A second pass
-// repeats the matrix with metrics collection off, since the columnar paths
-// skip per-node accounting entirely in that mode.
+// repeats the matrix with metrics collection off, since the columnar path
+// skips per-node accounting entirely in that mode.
 func TestEngineEquivalenceGolden(t *testing.T) {
 	const scale = 0.001
 	for _, w := range All() {
@@ -97,8 +89,8 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 }
 
 // diffResults asserts two engine results are externally identical. Row
-// order within a table is not part of the contract (the parallel probe
-// cascade interleaves partitions), so tables compare as multisets.
+// order within a table is not part of the contract, so tables compare as
+// multisets.
 func diffResults(t *testing.T, label string, ref, got *engine.Result) {
 	t.Helper()
 	if len(ref.Sinks) != len(got.Sinks) {
@@ -126,8 +118,8 @@ func diffResults(t *testing.T, label string, ref, got *engine.Result) {
 
 // diffMetrics compares the deterministic projection of two metrics
 // snapshots: node identity and row counts must be bit-identical across
-// engines and worker counts (timings and call counts are
-// execution-strategy-dependent and excluded from the contract).
+// interpreters and worker counts (timings and call counts are excluded
+// from the contract).
 func diffMetrics(t *testing.T, label string, ref, got *physical.RunMetrics) {
 	t.Helper()
 	if (ref == nil) != (got == nil) {
@@ -259,8 +251,8 @@ func rowKeys(tbl *data.Table) []string {
 // TestMaxRowsGuard pins the intermediate-cardinality guard on the suite's
 // known blowup case: wf24's Zipf-skewed join keys collide on hot values, so
 // at larger scales its chain joins multiply far beyond the independence
-// estimate. Both engines must abort promptly with the guard's error instead
-// of materializing the blowup.
+// estimate. The engine must abort promptly with the guard's error instead
+// of materializing the blowup, sequential and worker-parallel.
 func TestMaxRowsGuard(t *testing.T) {
 	w := MustGet(24)
 	an, err := w.Analyze()
@@ -280,16 +272,6 @@ func TestMaxRowsGuard(t *testing.T) {
 		}},
 		{"batch w4", func() (*engine.Result, error) {
 			e := engine.New(an, db, nil)
-			e.Workers, e.MaxRows = 4, limit
-			return e.Run()
-		}},
-		{"stream w1", func() (*engine.Result, error) {
-			e := engine.NewStream(an, db, nil)
-			e.MaxRows = limit
-			return e.Run()
-		}},
-		{"stream w4", func() (*engine.Result, error) {
-			e := engine.NewStream(an, db, nil)
 			e.Workers, e.MaxRows = 4, limit
 			return e.Run()
 		}},
