@@ -79,6 +79,66 @@ func BenchmarkFigure10StatisticsIdentification(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerLayer measures the planner one layer at a time — CSS
+// generation, universe build, exact selection — on a fixed set of suite
+// workflows, so a change to one layer shows in that layer's rows. Each
+// layer's inputs are built once, outside the timer.
+func BenchmarkPlannerLayer(b *testing.B) {
+	type prepared struct {
+		name string
+		an   *workflow.Analysis
+		res  *css.Result
+		u    *selector.Universe
+	}
+	var wfs []prepared
+	for _, id := range []int{3, 16, 21, 30} {
+		an, err := suite.MustGet(id).Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := css.Generate(an, css.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := selector.NewUniverse(res, costmodel.NewMemoryCoster(res, an.Cat))
+		if err != nil {
+			b.Fatal(err)
+		}
+		wfs = append(wfs, prepared{name: fmt.Sprintf("wf%02d", id), an: an, res: res, u: u})
+	}
+	layers := []struct {
+		name string
+		run  func(p prepared) error
+	}{
+		{"css", func(p prepared) error {
+			_, err := css.Generate(p.an, css.DefaultOptions())
+			return err
+		}},
+		{"universe", func(p prepared) error {
+			_, err := selector.NewUniverse(p.res, costmodel.NewMemoryCoster(p.res, p.an.Cat))
+			return err
+		}},
+		{"select", func(p prepared) error {
+			_, err := selector.SelectUniverse(p.u, selector.Options{Method: selector.MethodExact})
+			return err
+		}},
+	}
+	for _, l := range layers {
+		b.Run(l.name, func(b *testing.B) {
+			for _, p := range wfs {
+				b.Run(p.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := l.run(p); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkFigure11MemoryOverhead measures optimal-selection memory with
 // and without union–division (the Figure 11 sweep) and reports the wf03
 // ratio as a sanity anchor.

@@ -73,7 +73,8 @@ func main() {
 
 	fmt.Println("\n── 2. candidate statistics sets for |O⋈P⋈C| (Section 4.3) ──")
 	full := stats.NewCard(stats.BlockSE(0, sp.Full()))
-	for _, cs := range cy.CSS.CSS[full.Key()] {
+	fullID, _ := cy.CSS.ID(full)
+	for _, cs := range cy.CSS.CSS[fullID] {
 		fmt.Printf("  %s\n", cs.Label(blk))
 	}
 

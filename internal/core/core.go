@@ -432,7 +432,7 @@ func missingRequired(res *css.Result, est *estimate.Estimator) *MissingStatsErro
 	if len(miss) == 0 {
 		return nil
 	}
-	sort.Slice(miss, func(i, j int) bool { return stats.KeyLess(miss[i].Key(), miss[j].Key()) })
+	stats.SortByKey(miss, func(s stats.Stat) stats.Stat { return s })
 	e := &MissingStatsError{Missing: miss}
 	blocks := map[int]bool{}
 	for _, s := range miss {

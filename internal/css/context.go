@@ -38,28 +38,41 @@ func DefaultOptions() Options {
 // statistic universe S, the candidate statistics sets per statistic, the
 // required set S_C (cardinalities of every SE of every block), and the
 // observability classification S_O.
+//
+// Every statistic of the universe has a dense ID, its index in Stats, and
+// the per-statistic fields are slices indexed by ID. Callers holding a
+// stats.Stat find its ID with ID.
 type Result struct {
 	Analysis *workflow.Analysis
 	// Spaces holds one enumerated plan space per optimizable block.
 	Spaces []*expr.Space
-	// Stats is the universe S of statistics mentioned anywhere.
-	Stats map[stats.Key]stats.Stat
-	// CSS maps each statistic to its candidate statistics sets (excluding
-	// the trivial CSS, which is represented by direct observation).
-	CSS map[stats.Key][]stats.CSS
+	// Stats is the universe S of statistics mentioned anywhere, in
+	// canonical order (statKeyLess).
+	Stats []stats.Stat
+	// CSS lists each statistic's candidate statistics sets (excluding the
+	// trivial CSS, which is represented by direct observation).
+	CSS [][]Set
 	// Required is S_C: the cardinality statistics of every SE.
 	Required []stats.Stat
 	// Observable is S_O: statistics that instrumentation of the initial
 	// plan can observe directly (including reject-link statistics that
 	// need an added reject link, marked in NeedsRejectLink).
-	Observable map[stats.Key]bool
+	Observable []bool
 	// NeedsRejectLink marks observable statistics that require adding an
 	// explicit reject link (and an auxiliary join for multi-input reject
 	// targets) to the initial plan, per Section 4.1.2.
-	NeedsRejectLink map[stats.Key]bool
+	NeedsRejectLink []bool
 
 	opt    Options
 	blocks []*blockCtx
+	index  statIndex
+}
+
+// Set is one candidate statistics set: the stats.CSS the estimation layer
+// evaluates, with its inputs also given as IDs, in the same order.
+type Set struct {
+	stats.CSS
+	IDs []int
 }
 
 // Space returns the plan space of block b.

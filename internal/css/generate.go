@@ -1,7 +1,8 @@
 package css
 
 import (
-	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -14,15 +15,12 @@ import (
 // universe and each statistic's candidate statistics sets, then applies the
 // identity rules one level without introducing new statistics, and finally
 // classifies observability against the initial plan.
+//
+// Generation works on dense statistic IDs: each distinct statistic is
+// interned once, when a rule first mentions it, and every later mention is
+// a hash lookup. The result renumbers the universe into canonical order.
 func Generate(an *workflow.Analysis, opt Options) (*Result, error) {
-	res := &Result{
-		Analysis:        an,
-		Stats:           make(map[stats.Key]stats.Stat),
-		CSS:             make(map[stats.Key][]stats.CSS),
-		Observable:      make(map[stats.Key]bool),
-		NeedsRejectLink: make(map[stats.Key]bool),
-		opt:             opt,
-	}
+	res := &Result{Analysis: an, opt: opt}
 	for i := range an.Blocks {
 		bc, err := newBlockCtx(an, i)
 		if err != nil {
@@ -32,7 +30,7 @@ func Generate(an *workflow.Analysis, opt Options) (*Result, error) {
 		res.Spaces = append(res.Spaces, bc.sp)
 	}
 
-	g := &generator{res: res, an: an, opt: opt}
+	g := &generator{res: res, an: an, opt: opt, index: newStatIndex()}
 	// Seed the worklist with S_C: the cardinality of every SE of every
 	// block (lines 4–5 of Algorithm 1).
 	for _, bc := range res.blocks {
@@ -44,57 +42,142 @@ func Generate(an *workflow.Analysis, opt Options) (*Result, error) {
 	}
 	// Worklist loop (lines 6–16).
 	for len(g.work) > 0 {
-		s := g.work[len(g.work)-1]
+		g.cur = g.work[len(g.work)-1]
 		g.work = g.work[:len(g.work)-1]
-		if err := g.expand(s); err != nil {
+		if err := g.expand(g.stats[g.cur]); err != nil {
 			return nil, err
 		}
+		g.css[g.cur] = carve(&g.setBuf, len(g.pending), g.pending...)
+		g.pending = g.pending[:0]
 	}
 	// Identity rules, one level, no new statistics (lines 17–21).
 	g.applyIdentityRules()
+	g.dedupeCSS()
 	// Observability classification of the whole universe.
 	g.classifyObservable()
-	g.dedupeCSS()
+	g.finish()
 	return res, nil
 }
 
+// generator is Algorithm 1's state. Statistics are numbered in the order
+// they are first mentioned; finish renumbers them canonically.
 type generator struct {
 	res  *Result
 	an   *workflow.Analysis
 	opt  Options
-	work []stats.Stat
+	work []int
+	// cur is the statistic being expanded: every rule derives it.
+	cur int
+
+	index statIndex
+	stats []stats.Stat
+	// keys[id] is the statistic's formatted identity, built once: the
+	// canonical order compares its attribute string.
+	keys            []stats.Key
+	css             [][]Set
+	observable      []bool
+	needsRejectLink []bool
+	// pending collects the CSSs of the statistic being expanded.
+	pending []Set
+	// setBuf, idBuf, statBuf and attrBuf are chunks the CSS lists, their ID
+	// and input lists and the interned statistics' attribute lists are
+	// carved from.
+	setBuf  []Set
+	idBuf   []int
+	statBuf []stats.Stat
+	attrBuf []workflow.Attr
+	// scratch holds the attributes of rule inputs until addJoinCSS has
+	// interned them; splitL and splitR are splitAttrs' scratch space.
+	scratch        []workflow.Attr
+	splitL, splitR []workflow.Attr
 }
 
-// push adds a statistic to the universe and worklist if unseen.
-func (g *generator) push(s stats.Stat) {
-	k := s.Key()
-	if _, ok := g.res.Stats[k]; ok {
-		return
+// push adds a statistic to the universe and worklist if unseen, and returns
+// its ID.
+func (g *generator) push(s stats.Stat) int {
+	h := statHash(s)
+	if id, ok := g.index.find(g.stats, s, h); ok {
+		return id
 	}
-	g.res.Stats[k] = s
-	g.work = append(g.work, s)
+	id := len(g.stats)
+	g.index.add(h)
+	s.Attrs = carve(&g.attrBuf, len(s.Attrs), s.Attrs...)
+	g.stats = append(g.stats, s)
+	g.keys = append(g.keys, s.Key())
+	g.css = append(g.css, nil)
+	g.work = append(g.work, id)
+	return id
 }
 
-// addCSS records a candidate statistics set for target and pushes its
-// inputs onto the worklist.
-func (g *generator) addCSS(target stats.Stat, rule string, inputs ...stats.Stat) {
-	g.addJoinCSS(target, rule, workflow.Attr{}, inputs...)
+// carve returns a slice of length n carved from the chunk *buf, holding a
+// copy of init. A full chunk is replaced by one twice its size (up to 64Ki
+// elements). The slice's capacity ends at its length, so appending to it
+// never writes into a neighbour.
+func carve[T any](buf *[]T, n int, init ...T) []T {
+	if cap(*buf)-len(*buf) < n {
+		*buf = make([]T, 0, max(n, min(2*cap(*buf), 1<<16), 64))
+	}
+	start := len(*buf)
+	*buf = append(*buf, make([]T, n)...)
+	out := (*buf)[start : start+n : start+n]
+	copy(out, init)
+	return out
+}
+
+// hist is stats.NewHist for a rule input and distinct stats.NewDistinct:
+// the attributes are canonicalized in scratch space, and push copies them
+// only when it interns a statistic not seen before.
+func (g *generator) hist(t stats.Target, attrs ...workflow.Attr) stats.Stat {
+	return stats.Stat{Kind: stats.Hist, Target: t, Attrs: g.canon(attrs)}
+}
+
+func (g *generator) distinct(t stats.Target, attrs ...workflow.Attr) stats.Stat {
+	return stats.Stat{Kind: stats.Distinct, Target: t, Attrs: g.canon(attrs)}
+}
+
+// canon sorts and de-duplicates a copy of attrs in scratch space, as
+// stats' constructors do on a fresh slice.
+func (g *generator) canon(attrs []workflow.Attr) []workflow.Attr {
+	start := len(g.scratch)
+	g.scratch = append(g.scratch, attrs...)
+	out := workflow.SortAttrs(g.scratch[start:])
+	n := 0
+	for i, a := range out {
+		if i == 0 || out[n-1] != a {
+			out[n] = a
+			n++
+		}
+	}
+	g.scratch = g.scratch[:start+n]
+	return out[:n:n]
+}
+
+// addCSS records a candidate statistics set for the statistic being
+// expanded and pushes its inputs onto the worklist.
+func (g *generator) addCSS(rule string, inputs ...stats.Stat) {
+	g.addJoinCSS(rule, workflow.Attr{}, inputs...)
 }
 
 // addJoinCSS is addCSS carrying the join-attribute class the estimation
 // layer needs to evaluate join rules.
-func (g *generator) addJoinCSS(target stats.Stat, rule string, join workflow.Attr, inputs ...stats.Stat) {
+func (g *generator) addJoinCSS(rule string, join workflow.Attr, inputs ...stats.Stat) {
 	// A CSS referencing its own target would be circular.
-	tk := target.Key()
+	target := g.stats[g.cur]
 	for _, in := range inputs {
-		if in.Key() == tk {
+		if sameStat(in, target) {
 			return
 		}
 	}
-	g.res.CSS[tk] = append(g.res.CSS[tk], stats.CSS{Rule: rule, Inputs: inputs, Join: join})
-	for _, in := range inputs {
-		g.push(in)
+	c := Set{
+		CSS: stats.CSS{Rule: rule, Inputs: carve(&g.statBuf, len(inputs)), Join: join},
+		IDs: carve(&g.idBuf, len(inputs)),
 	}
+	for i, in := range inputs {
+		c.IDs[i] = g.push(in)
+		c.Inputs[i] = g.stats[c.IDs[i]]
+	}
+	g.pending = append(g.pending, c)
+	g.scratch = g.scratch[:0]
 }
 
 // expand generates the CSSs of one statistic by dispatching on its target
@@ -105,7 +188,7 @@ func (g *generator) expand(s stats.Stat) error {
 	case s.Kind == stats.Distinct:
 		// A distinct count is the bucket count of the matching histogram
 		// (used by rule G1's input and generally derivable).
-		g.addCSS(s, "D1", stats.Stat{Kind: stats.Hist, Target: s.Target, Attrs: s.Attrs})
+		g.addCSS("D1", stats.Stat{Kind: stats.Hist, Target: s.Target, Attrs: s.Attrs})
 		return nil
 	case s.Target.IsChainPoint():
 		return g.expandChainPoint(bc, s)
@@ -128,14 +211,14 @@ func (g *generator) expandJoinSE(bc *blockCtx, s stats.Stat) error {
 		switch s.Kind {
 		case stats.Card:
 			// J1: |L ⋈ R| from the join-column distributions.
-			g.addJoinCSS(s, "J1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, p.Left), class),
-				stats.NewHist(stats.BlockSE(bc.idx, p.Right), class))
+			g.addJoinCSS("J1", class,
+				g.hist(stats.BlockSE(bc.idx, p.Left), class),
+				g.hist(stats.BlockSE(bc.idx, p.Right), class))
 			// FK shortcut: a look-up join keeps the fact side's
 			// cardinality.
 			if g.opt.FKShortcut {
 				if fact, ok := g.fkFactSide(bc, p); ok {
-					g.addCSS(s, "FK", stats.NewCard(stats.BlockSE(bc.idx, fact)))
+					g.addCSS("FK", stats.NewCard(stats.BlockSE(bc.idx, fact)))
 				}
 			}
 		case stats.Hist:
@@ -144,9 +227,9 @@ func (g *generator) expandJoinSE(bc *blockCtx, s stats.Stat) error {
 				if len(s.Attrs) == 1 && s.Attrs[0] == class {
 					rule = "J3"
 				}
-				g.addJoinCSS(s, rule, class,
-					stats.NewHist(stats.BlockSE(bc.idx, p.Left), inL...),
-					stats.NewHist(stats.BlockSE(bc.idx, p.Right), inR...))
+				g.addJoinCSS(rule, class,
+					g.hist(stats.BlockSE(bc.idx, p.Left), inL...),
+					g.hist(stats.BlockSE(bc.idx, p.Right), inR...))
 			}
 		}
 	}
@@ -160,9 +243,12 @@ func (g *generator) expandJoinSE(bc *blockCtx, s stats.Stat) error {
 // sides of a plan and adds the join class to both, producing the inputs of
 // the generalized J2/J3 rule. ok is false when an attribute lives on
 // neither side.
+//
+// The lists reuse the generator's scratch space, so they are only valid
+// until the next call; the histogram constructors copy them.
 func (g *generator) splitAttrs(bc *blockCtx, p expr.Plan, class workflow.Attr, attrs []workflow.Attr) (inL, inR []workflow.Attr, ok bool) {
-	inL = []workflow.Attr{class}
-	inR = []workflow.Attr{class}
+	inL = append(g.splitL[:0], class)
+	inR = append(g.splitR[:0], class)
 	for _, a := range attrs {
 		if a == class {
 			continue // carried by the join attribute itself
@@ -177,6 +263,7 @@ func (g *generator) splitAttrs(bc *blockCtx, p expr.Plan, class workflow.Attr, a
 		}
 		return nil, nil, false
 	}
+	g.splitL, g.splitR = inL, inR
 	return inL, inR, true
 }
 
@@ -243,9 +330,9 @@ func (g *generator) expandUnionDivision(bc *blockCtx, s stats.Stat) {
 			switch s.Kind {
 			case stats.Card:
 				// J4: |e| = |H^a_o / H^a_k| + |reject variant of e|.
-				g.addJoinCSS(s, "J4", class,
-					stats.NewHist(stats.BlockSE(bc.idx, o), class),
-					stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
+				g.addJoinCSS("J4", class,
+					g.hist(stats.BlockSE(bc.idx, o), class),
+					g.hist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
 					stats.NewCard(stats.BlockRejectSE(bc.idx, se, t, f)))
 			case stats.Hist:
 				// J5 additionally carries the wanted attributes through the
@@ -254,10 +341,10 @@ func (g *generator) expandUnionDivision(bc *blockCtx, s stats.Stat) {
 					continue
 				}
 				oAttrs := append([]workflow.Attr{class}, s.Attrs...)
-				g.addJoinCSS(s, "J5", class,
-					stats.NewHist(stats.BlockSE(bc.idx, o), oAttrs...),
-					stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
-					stats.NewHist(stats.BlockRejectSE(bc.idx, se, t, f), s.Attrs...))
+				g.addJoinCSS("J5", class,
+					g.hist(stats.BlockSE(bc.idx, o), oAttrs...),
+					g.hist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
+					g.hist(stats.BlockRejectSE(bc.idx, se, t, f), s.Attrs...))
 			}
 		}
 	}
@@ -285,14 +372,14 @@ func (g *generator) expandReject(bc *blockCtx, s stats.Stat) error {
 		class := bc.sp.ClassOf(e.LeftAttr)
 		switch s.Kind {
 		case stats.Card:
-			g.addJoinCSS(s, "R1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(t)), class),
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
+			g.addJoinCSS("R1", class,
+				g.hist(stats.BlockSE(bc.idx, expr.NewSet(t)), class),
+				g.hist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
 		case stats.Hist:
 			tAttrs := append([]workflow.Attr{class}, s.Attrs...)
-			g.addJoinCSS(s, "R1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(t)), tAttrs...),
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
+			g.addJoinCSS("R1", class,
+				g.hist(stats.BlockSE(bc.idx, expr.NewSet(t)), tAttrs...),
+				g.hist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
 		}
 		return nil
 	}
@@ -315,9 +402,9 @@ func (g *generator) expandReject(bc *blockCtx, s stats.Stat) error {
 	class := bc.sp.ClassOf(bc.blk.Joins[gEdge].LeftAttr)
 	switch s.Kind {
 	case stats.Card:
-		g.addJoinCSS(s, "J1", class,
-			stats.NewHist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), class),
-			stats.NewHist(stats.BlockSE(bc.idx, rest), class))
+		g.addJoinCSS("J1", class,
+			g.hist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), class),
+			g.hist(stats.BlockSE(bc.idx, rest), class))
 	case stats.Hist:
 		// Split wanted attributes between the reject singleton and the
 		// rest, as in the generalized J2.
@@ -337,9 +424,9 @@ func (g *generator) expandReject(bc *blockCtx, s stats.Stat) error {
 			}
 			return nil
 		}
-		g.addJoinCSS(s, "J2", class,
-			stats.NewHist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), tAttrs...),
-			stats.NewHist(stats.BlockSE(bc.idx, rest), restAttrs...))
+		g.addJoinCSS("J2", class,
+			g.hist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), tAttrs...),
+			g.hist(stats.BlockSE(bc.idx, rest), restAttrs...))
 	}
 	return nil
 }
@@ -397,7 +484,7 @@ func (g *generator) chainRule(bc *blockCtx, s stats.Stat, i, d int) {
 		switch s.Kind {
 		case stats.Card:
 			// S1: |σ_a(T)| from H^a_T.
-			g.addCSS(s, "S1", stats.NewHist(prev, predClass))
+			g.addCSS("S1", g.hist(prev, predClass))
 		case stats.Hist:
 			// S2: H^b of the selection from H^{a∪b} of the input (when b
 			// already contains a this is just H^b).
@@ -408,26 +495,26 @@ func (g *generator) chainRule(bc *blockCtx, s stats.Stat, i, d int) {
 			if _, ok := bc.membersAt(i, d-1, need); !ok {
 				return
 			}
-			g.addCSS(s, "S2", stats.NewHist(prev, need...))
+			g.addCSS("S2", g.hist(prev, need...))
 		}
 	case workflow.KindProject:
 		switch s.Kind {
 		case stats.Card:
 			// P1: projection preserves cardinality.
-			g.addCSS(s, "P1", stats.NewCard(prev))
+			g.addCSS("P1", stats.NewCard(prev))
 		case stats.Hist:
 			// P2: distributions over retained columns are unchanged.
 			if _, ok := bc.membersAt(i, d-1, s.Attrs); !ok {
 				return
 			}
-			g.addCSS(s, "P2", stats.NewHist(prev, s.Attrs...))
+			g.addCSS("P2", g.hist(prev, s.Attrs...))
 		}
 	case workflow.KindTransform:
 		outClass := bc.sp.ClassOf(op.Transform.Out)
 		switch s.Kind {
 		case stats.Card:
 			// U1: transforms preserve cardinality.
-			g.addCSS(s, "U1", stats.NewCard(prev))
+			g.addCSS("U1", stats.NewCard(prev))
 		case stats.Hist:
 			// U2: distributions not involving the derived attribute are
 			// unchanged; distributions over it are black-box.
@@ -437,7 +524,7 @@ func (g *generator) chainRule(bc *blockCtx, s stats.Stat, i, d int) {
 			if _, ok := bc.membersAt(i, d-1, s.Attrs); !ok {
 				return
 			}
-			g.addCSS(s, "U2", stats.NewHist(prev, s.Attrs...))
+			g.addCSS("U2", g.hist(prev, s.Attrs...))
 		}
 	}
 }
@@ -483,10 +570,10 @@ func (g *generator) crossBlockRule(bc *blockCtx, s stats.Stat, i int) {
 		// Pass-through: the boundary record-set is the upstream SE.
 		switch s.Kind {
 		case stats.Card:
-			g.addCSS(s, "B0", stats.NewCard(upFull))
+			g.addCSS("B0", stats.NewCard(upFull))
 		case stats.Hist:
 			if attrs, ok := translate(s.Attrs); ok {
-				g.addCSS(s, "B0", stats.NewHist(upFull, attrs...))
+				g.addCSS("B0", g.hist(upFull, attrs...))
 			}
 		}
 	case term.Kind == workflow.KindGroupBy:
@@ -497,7 +584,7 @@ func (g *generator) crossBlockRule(bc *blockCtx, s stats.Stat, i int) {
 		switch s.Kind {
 		case stats.Card:
 			// G1: |G(T,a)| = |a_T|.
-			g.addCSS(s, "G1", stats.NewDistinct(upFull, keys...))
+			g.addCSS("G1", g.distinct(upFull, keys...))
 		case stats.Hist:
 			// G2: distributions over (subsets of) the grouping keys come
 			// from the upstream key distribution, one count per group.
@@ -505,19 +592,19 @@ func (g *generator) crossBlockRule(bc *blockCtx, s stats.Stat, i int) {
 			if !ok || !repsSubset(attrs, keys) {
 				return
 			}
-			g.addCSS(s, "G2", stats.NewHist(upFull, keys...))
+			g.addCSS("G2", g.hist(upFull, keys...))
 		}
 	case term.Kind == workflow.KindTransform:
 		outClass := bc.sp.ClassOf(term.Transform.Out)
 		switch s.Kind {
 		case stats.Card:
-			g.addCSS(s, "U1", stats.NewCard(upFull))
+			g.addCSS("U1", stats.NewCard(upFull))
 		case stats.Hist:
 			if attrInReps(s.Attrs, outClass) {
 				return
 			}
 			if attrs, ok := translate(s.Attrs); ok {
-				g.addCSS(s, "U2", stats.NewHist(upFull, attrs...))
+				g.addCSS("U2", g.hist(upFull, attrs...))
 			}
 		}
 	default:
@@ -564,19 +651,57 @@ func dedupe(attrs []workflow.Attr) []workflow.Attr {
 }
 
 // dedupeCSS removes duplicate candidate sets (same rule inputs produced by
-// different plans) per target.
+// different plans) per target, keeping the first.
 func (g *generator) dedupeCSS() {
-	for k, list := range g.res.CSS {
-		seen := make(map[string]bool, len(list))
-		var out []stats.CSS
-		for _, c := range list {
-			sig := fmt.Sprintf("%v", c.Keys())
-			if seen[sig] {
-				continue
+	for id, list := range g.css {
+		n := 0
+		for i := range list {
+			dup := false
+			for k := range list[:n] {
+				if slices.Equal(list[k].IDs, list[i].IDs) {
+					dup = true
+					break
+				}
 			}
-			seen[sig] = true
-			out = append(out, c)
+			if !dup {
+				list[n] = list[i]
+				n++
+			}
 		}
-		g.res.CSS[k] = out
+		g.css[id] = list[:n]
+	}
+}
+
+// finish renumbers the universe into canonical order (statKeyLess) and
+// publishes it, with every CSS's ID list, observability marks and the
+// lookup index, on the result.
+func (g *generator) finish() {
+	n := len(g.stats)
+	order := make([]int, n) // order[new] = old
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return statKeyLess(g.keys[order[i]], g.keys[order[j]]) })
+	rank := make([]int, n) // rank[old] = new
+	for id, old := range order {
+		rank[old] = id
+	}
+	r := g.res
+	r.Stats = make([]stats.Stat, n)
+	r.CSS = make([][]Set, n)
+	r.Observable = make([]bool, n)
+	r.NeedsRejectLink = make([]bool, n)
+	r.index = newStatIndex()
+	for id, old := range order {
+		r.Stats[id] = g.stats[old]
+		r.Observable[id] = g.observable[old]
+		r.NeedsRejectLink[id] = g.needsRejectLink[old]
+		r.index.add(statHash(g.stats[old]))
+		for _, c := range g.css[old] {
+			for i, in := range c.IDs {
+				c.IDs[i] = rank[in]
+			}
+		}
+		r.CSS[id] = g.css[old]
 	}
 }

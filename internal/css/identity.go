@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/essential-stats/etlopt/internal/stats"
-	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // applyIdentityRules implements lines 17–21 of Algorithm 1. The identity
@@ -26,40 +25,54 @@ import (
 func (g *generator) applyIdentityRules() {
 	// Index the generated histogram statistics by target, so superset
 	// lookups touch only existing statistics.
-	histsByTarget := make(map[stats.Target][]stats.Stat)
-	for _, s := range g.res.Stats {
+	histsByTarget := make(map[stats.Target][]int)
+	for id, s := range g.stats {
 		if s.Kind == stats.Hist {
-			histsByTarget[s.Target] = append(histsByTarget[s.Target], s)
+			histsByTarget[s.Target] = append(histsByTarget[s.Target], id)
 		}
 	}
-	for t := range histsByTarget {
-		sort.Slice(histsByTarget[t], func(i, j int) bool {
-			a, b := histsByTarget[t][i], histsByTarget[t][j]
+	for _, hs := range histsByTarget {
+		sort.Slice(hs, func(i, j int) bool {
+			a, b := g.stats[hs[i]], g.stats[hs[j]]
 			if len(a.Attrs) != len(b.Attrs) {
 				return len(a.Attrs) < len(b.Attrs)
 			}
-			return workflow.AttrsString(a.Attrs) < workflow.AttrsString(b.Attrs)
+			return g.keys[hs[i]].Attrs < g.keys[hs[j]].Attrs
 		})
 	}
 
-	for k, s := range g.res.Stats {
+	// add appends one single-input CSS per histogram in hs to id's list.
+	// The universe is complete, so each CSS's input list views g.stats.
+	add := func(id int, rule string, hs []int) {
+		if len(hs) == 0 {
+			return
+		}
+		old := g.css[id]
+		list := carve(&g.setBuf, len(old)+len(hs), old...)
+		for k, h := range hs {
+			list[len(old)+k] = Set{
+				CSS: stats.CSS{Rule: rule, Inputs: g.stats[h : h+1 : h+1]},
+				IDs: carve(&g.idBuf, 1, h),
+			}
+		}
+		g.css[id] = list
+	}
+	var supers []int
+	for id, s := range g.stats {
 		switch s.Kind {
 		case stats.Card:
 			// I1: |T| from any histogram on T.
-			for _, h := range histsByTarget[s.Target] {
-				g.res.CSS[k] = append(g.res.CSS[k], stats.CSS{Rule: "I1", Inputs: []stats.Stat{h}})
-			}
+			add(id, "I1", histsByTarget[s.Target])
 		case stats.Hist:
 			// I2: H^a_T from any existing H^{a∪b}_T.
-			for _, super := range histsByTarget[s.Target] {
-				if len(super.Attrs) <= len(s.Attrs) {
-					continue
+			supers = supers[:0]
+			for _, h := range histsByTarget[s.Target] {
+				super := g.stats[h]
+				if len(super.Attrs) > len(s.Attrs) && repsSubset(s.Attrs, super.Attrs) {
+					supers = append(supers, h)
 				}
-				if !repsSubset(s.Attrs, super.Attrs) {
-					continue
-				}
-				g.res.CSS[k] = append(g.res.CSS[k], stats.CSS{Rule: "I2", Inputs: []stats.Stat{super}})
 			}
+			add(id, "I2", supers)
 		}
 	}
 }

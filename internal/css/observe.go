@@ -24,11 +24,13 @@ import (
 //     plain counter in rule J4;
 //   - wider reject variants are derived from those via the join rules.
 func (g *generator) classifyObservable() {
-	for k, s := range g.res.Stats {
+	g.observable = make([]bool, len(g.stats))
+	g.needsRejectLink = make([]bool, len(g.stats))
+	for id, s := range g.stats {
 		bc := g.res.blocks[s.Target.Block]
 		switch {
 		case s.Target.IsChainPoint():
-			g.res.Observable[k] = true
+			g.observable[id] = true
 		case s.Target.IsReject():
 			t, f := s.Target.RejectInput, s.Target.RejectEdge
 			if !rejectObservable(bc, t, f) {
@@ -36,15 +38,15 @@ func (g *generator) classifyObservable() {
 			}
 			switch rest := s.Target.Set.Without(expr.NewSet(t)); {
 			case rest.Empty():
-				g.res.Observable[k] = true
-				g.res.NeedsRejectLink[k] = true
+				g.observable[id] = true
+				g.needsRejectLink[id] = true
 			case rest.Len() == 1 && directEdge(bc, t, rest.Lowest()) >= 0:
-				g.res.Observable[k] = true
-				g.res.NeedsRejectLink[k] = true
+				g.observable[id] = true
+				g.needsRejectLink[id] = true
 			}
 		default:
 			if bc.sp.Initial[s.Target.Set] {
-				g.res.Observable[k] = true
+				g.observable[id] = true
 			}
 		}
 	}
@@ -83,7 +85,7 @@ func rejectObservable(bc *blockCtx, t, f int) bool {
 // callers may observe ad-hoc statistics (e.g. extra diagnostics) beyond the
 // selector's choice.
 func (r *Result) StatObservable(s stats.Stat) bool {
-	if k := s.Key(); r.Observable[k] {
+	if id, ok := r.ID(s); ok && r.Observable[id] {
 		return true
 	}
 	if s.Target.Block < 0 || s.Target.Block >= len(r.blocks) {
@@ -106,22 +108,13 @@ func (r *Result) StatObservable(s stats.Stat) bool {
 	}
 }
 
-// ObservableStats returns the observable statistics in deterministic order.
+// ObservableStats returns the observable statistics in canonical order.
 func (r *Result) ObservableStats() []stats.Stat {
 	var out []stats.Stat
-	for k := range r.Observable {
-		out = append(out, r.Stats[k])
+	for id, s := range r.Stats {
+		if r.Observable[id] {
+			out = append(out, s)
+		}
 	}
-	sortStats(out)
-	return out
-}
-
-// AllStats returns the statistic universe in deterministic order.
-func (r *Result) AllStats() []stats.Stat {
-	out := make([]stats.Stat, 0, len(r.Stats))
-	for _, s := range r.Stats {
-		out = append(out, s)
-	}
-	sortStats(out)
 	return out
 }

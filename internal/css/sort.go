@@ -1,19 +1,9 @@
 package css
 
-import (
-	"sort"
+import "github.com/essential-stats/etlopt/internal/stats"
 
-	"github.com/essential-stats/etlopt/internal/stats"
-)
-
-// sortStats orders statistics deterministically: by block, kind, SE,
+// statKeyLess is the universe's canonical order: by block, kind, SE,
 // depth, reject fields, then attribute string.
-func sortStats(list []stats.Stat) {
-	sort.Slice(list, func(i, j int) bool {
-		return statKeyLess(list[i].Key(), list[j].Key())
-	})
-}
-
 func statKeyLess(a, b stats.Key) bool {
 	if a.Block != b.Block {
 		return a.Block < b.Block

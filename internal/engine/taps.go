@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/essential-stats/etlopt/internal/data"
@@ -60,9 +59,7 @@ func (c *collector) failedStats() []FailedStat {
 	for _, f := range c.failed {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return stats.KeyLess(out[i].Stat.Key(), out[j].Stat.Key())
-	})
+	stats.SortByKey(out, func(f FailedStat) stats.Stat { return f.Stat })
 	return out
 }
 

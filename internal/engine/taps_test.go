@@ -125,10 +125,11 @@ func TestTapRejectAuxiliaryJoin(t *testing.T) {
 		}
 	}
 	rejJoin := stats.NewCard(stats.BlockRejectSE(0, expr.NewSet(o, c), o, f))
-	if !res.Observable[rejJoin.Key()] {
+	id, ok := res.ID(rejJoin)
+	if !ok || !res.Observable[id] {
 		t.Fatal("two-input reject variant should be observable")
 	}
-	if !res.NeedsRejectLink[rejJoin.Key()] {
+	if !res.NeedsRejectLink[id] {
 		t.Fatal("reject variant should be marked NeedsRejectLink")
 	}
 	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{rejJoin})

@@ -99,15 +99,15 @@ func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
 	e.inProgress[k] = true
 	defer delete(e.inProgress, k)
 	var firstErr error
-	for _, c := range e.Res.CSS[k] {
-		v, err := e.eval(s, c)
+	for _, c := range e.candidates(s) {
+		v, err := e.eval(s, c.CSS)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		v.Approx = v.Approx || e.anyApproxInput(c)
+		v.Approx = v.Approx || e.anyApproxInput(c.CSS)
 		e.memo[k] = v
 		return v, nil
 	}
@@ -116,6 +116,15 @@ func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
 		return nil, fmt.Errorf("estimate: statistic %v not derivable: %w", k, firstErr)
 	}
 	return nil, fmt.Errorf("estimate: statistic %v not observed and has no candidate statistics set", k)
+}
+
+// candidates returns s's candidate statistics sets, in evaluation order;
+// none when s is outside the generated universe.
+func (e *Estimator) candidates(s stats.Stat) []css.Set {
+	if id, ok := e.Res.ID(s); ok {
+		return e.Res.CSS[id]
+	}
+	return nil
 }
 
 func (e *Estimator) fromStore(s stats.Stat) (*stats.Value, error) {

@@ -55,8 +55,8 @@ func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
 	}
 	// Find the first evaluable CSS — the same order Value used, so the
 	// explanation matches the computation.
-	for _, c := range e.Res.CSS[s.Key()] {
-		if _, err := e.eval(s, c); err != nil {
+	for _, c := range e.candidates(s) {
+		if _, err := e.eval(s, c.CSS); err != nil {
 			continue
 		}
 		ex := &Explanation{Stat: s, Value: v, Rule: c.Rule}

@@ -39,6 +39,9 @@ type Space struct {
 	// classRep maps each join attribute to the canonical representative of
 	// its equivalence class (attributes equated by join predicates).
 	classRep map[workflow.Attr]workflow.Attr
+	// members maps each class representative to its class's attributes,
+	// sorted canonically, built once per space.
+	members map[workflow.Attr][]workflow.Attr
 	// full is the SE containing every input.
 	full Set
 }
@@ -57,27 +60,26 @@ func (sp *Space) ClassOf(a workflow.Attr) workflow.Attr {
 }
 
 // ClassMembers returns every attribute equated with a (including a itself),
-// sorted canonically.
+// sorted canonically. The slice is shared by every caller and must not be
+// modified.
 func (sp *Space) ClassMembers(a workflow.Attr) []workflow.Attr {
-	rep := sp.ClassOf(a)
-	var out []workflow.Attr
-	for attr, r := range sp.classRep {
-		if r == rep {
-			out = append(out, attr)
-		}
+	if m, ok := sp.members[sp.ClassOf(a)]; ok {
+		return m
 	}
-	if len(out) == 0 {
-		out = append(out, a)
-	}
-	return workflow.SortAttrs(out)
+	return []workflow.Attr{a}
 }
 
 // MemberIn returns an attribute from a's equivalence class that exists in
 // the schema of SE se, or false when the class does not touch se.
 func (sp *Space) MemberIn(se Set, a workflow.Attr) (workflow.Attr, bool) {
-	for _, m := range sp.ClassMembers(a) {
-		if idx := sp.Block.InputIndexByAttr(m); idx >= 0 && se.Has(idx) {
-			return m, true
+	m, ok := sp.members[sp.ClassOf(a)]
+	if !ok {
+		// An attribute outside every join is its own class.
+		m = []workflow.Attr{a}
+	}
+	for _, attr := range m {
+		if idx := sp.Block.InputIndexByAttr(attr); idx >= 0 && se.Has(idx) {
+			return attr, true
 		}
 	}
 	return workflow.Attr{}, false
@@ -142,6 +144,13 @@ func Enumerate(b *workflow.Block) (*Space, error) {
 		Initial:     make(map[Set]bool),
 		InitialTree: make(map[Set]Plan),
 		classRep:    attrClasses(b),
+		members:     make(map[workflow.Attr][]workflow.Attr),
+	}
+	for a, rep := range sp.classRep {
+		sp.members[rep] = append(sp.members[rep], a)
+	}
+	for _, m := range sp.members {
+		workflow.SortAttrs(m)
 	}
 	for i := 0; i < n; i++ {
 		sp.full = sp.full.Add(i)

@@ -1,9 +1,6 @@
 package selector
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // deriveMode selects how the cost of an AND-node (a CSS needing all its
 // inputs) is aggregated from its inputs.
@@ -35,18 +32,12 @@ func (u *Universe) deriveCosts(obs, free, banned []bool, mode deriveMode) []floa
 	}
 	n := len(u.Stats)
 	dist := make([]float64, n)
-	done := make([]bool, n)
-	// remaining[i][ci]: inputs of CSS ci of stat i not yet finalized;
-	// acc[i][ci]: aggregated cost of finalized inputs.
-	remaining := make([][]int, n)
-	acc := make([][]float64, n)
-	pq := &floatHeap{}
+	ps := u.pass()
+	defer u.passes.Put(ps)
+	// remaining[slot]: inputs of a CSS not yet finalized; acc[slot]:
+	// aggregated cost of its finalized inputs.
+	remaining, acc, done, pq := ps.remaining, ps.acc, ps.done, &ps.heap
 	for i := 0; i < n; i++ {
-		remaining[i] = make([]int, len(u.CSS[i]))
-		acc[i] = make([]float64, len(u.CSS[i]))
-		for ci, c := range u.CSS[i] {
-			remaining[i][ci] = len(c.inputs)
-		}
 		switch {
 		case free != nil && free[i]:
 			dist[i] = 0
@@ -56,32 +47,32 @@ func (u *Universe) deriveCosts(obs, free, banned []bool, mode deriveMode) []floa
 			dist[i] = math.Inf(1)
 		}
 		if !math.IsInf(dist[i], 1) {
-			heap.Push(pq, heapItem{idx: i, cost: dist[i]})
+			pq.push(heapItem{idx: i, cost: dist[i]})
 		}
 	}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+	for len(*pq) > 0 {
+		it := pq.pop()
 		i := it.idx
 		if done[i] || it.cost > dist[i] {
 			continue
 		}
 		done[i] = true
-		for _, ref := range u.usedBy[i] {
+		for _, ref := range u.usesOf(i) {
 			if done[ref.stat] {
 				continue
 			}
 			switch mode {
 			case deriveSum:
-				acc[ref.stat][ref.css] += dist[i]
+				acc[ref.slot] += dist[i]
 			case deriveMax:
-				if dist[i] > acc[ref.stat][ref.css] {
-					acc[ref.stat][ref.css] = dist[i]
+				if dist[i] > acc[ref.slot] {
+					acc[ref.slot] = dist[i]
 				}
 			}
-			remaining[ref.stat][ref.css]--
-			if remaining[ref.stat][ref.css] == 0 && acc[ref.stat][ref.css] < dist[ref.stat] {
-				dist[ref.stat] = acc[ref.stat][ref.css]
-				heap.Push(pq, heapItem{idx: ref.stat, cost: dist[ref.stat]})
+			remaining[ref.slot]--
+			if remaining[ref.slot] == 0 && acc[ref.slot] < dist[ref.stat] {
+				dist[ref.stat] = acc[ref.slot]
+				pq.push(heapItem{idx: int(ref.stat), cost: dist[ref.stat]})
 			}
 		}
 	}
@@ -110,20 +101,21 @@ func (u *Universe) walkDerivation(target int, dist []float64, obs, free, banned 
 	if math.IsInf(dist[target], 1) {
 		return nil, 0, false
 	}
-	seen := make(map[int]bool)
-	leafSet := make(map[int]bool)
+	// mark[i]: 1 once visited, 2 when i is an observed leaf.
+	const seen, leaf = 1, 2
+	mark := make([]uint8, len(u.Stats))
 	var walk func(i int)
 	walk = func(i int) {
-		if seen[i] {
+		if mark[i] != 0 {
 			return
 		}
-		seen[i] = true
+		mark[i] = seen
 		if free != nil && free[i] {
 			return
 		}
 		// Prefer direct observation when it is the winning price.
 		if obs[i] && (banned == nil || !banned[i]) && u.Cost[i] <= dist[i]+1e-12 {
-			leafSet[i] = true
+			mark[i] = leaf
 			return
 		}
 		// Otherwise find a CSS achieving the winning price.
@@ -147,12 +139,12 @@ func (u *Universe) walkDerivation(target int, dist []float64, obs, free, banned 
 		// Fall back to direct observation even at a worse price (can only
 		// happen through floating-point ties).
 		if obs[i] && (banned == nil || !banned[i]) {
-			leafSet[i] = true
+			mark[i] = leaf
 		}
 	}
 	walk(target)
-	for i := range u.Stats {
-		if leafSet[i] {
+	for i, m := range mark {
+		if m == leaf {
 			leaves = append(leaves, i)
 		}
 	}
@@ -164,16 +156,44 @@ type heapItem struct {
 	cost float64
 }
 
-type floatHeap []heapItem
+// costHeap is a binary min-heap on cost. Its sift-up and sift-down are
+// container/heap's, step for step, so items pop in exactly the order
+// container/heap would pop them (ties included), and the float sums built
+// in pop order stay bit-identical.
+type costHeap []heapItem
 
-func (h floatHeap) Len() int            { return len(h) }
-func (h floatHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
-func (h floatHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *costHeap) push(it heapItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].cost < q[i].cost) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *costHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].cost < q[j1].cost {
+			j = j2 // right child
+		}
+		if !(q[j].cost < q[i].cost) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

@@ -11,13 +11,8 @@ import (
 // for subsequent covers. Zero-cost observable statistics (e.g. free source
 // statistics, Section 6.2) are taken up front.
 func Greedy(u *Universe) (*Selection, error) {
-	observed := make([]bool, len(u.Stats))
-	for i := range u.Stats {
-		if u.Observable[i] && u.Cost[i] == 0 {
-			observed[i] = true
-		}
-	}
-	if err := greedyComplete(u, observed, nil); err != nil {
+	observed, err := greedyObserve(u)
+	if err != nil {
 		return nil, err
 	}
 	return &Selection{
@@ -27,6 +22,20 @@ func Greedy(u *Universe) (*Selection, error) {
 		Optimal: false,
 		Method:  "greedy",
 	}, nil
+}
+
+// greedyObserve returns the greedy observation set.
+func greedyObserve(u *Universe) ([]bool, error) {
+	observed := make([]bool, len(u.Stats))
+	for i := range u.Stats {
+		if u.Observable[i] && u.Cost[i] == 0 {
+			observed[i] = true
+		}
+	}
+	if err := greedyComplete(u, observed, nil); err != nil {
+		return nil, err
+	}
+	return observed, nil
 }
 
 // greedyComplete extends the observation set until every required statistic

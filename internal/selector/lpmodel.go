@@ -112,7 +112,7 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 	}
 
 	// Incumbent from greedy.
-	g, err := Greedy(u)
+	greedy, err := greedyObserve(u)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 	}
 	res, err := ilp.Solve(&ilp.Model{LP: p, Binary: binaries}, ilp.Options{
 		MaxNodes:     maxNodes,
-		Incumbent:    g.Cost + 1e-9,
+		Incumbent:    u.ObservedCost(greedy) + 1e-9,
 		HasIncumbent: true,
 		OnIntegral:   verify,
 	})
@@ -167,13 +167,10 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 	case ilp.Infeasible:
 		return nil, errNoSolution
 	}
-	observed := make([]bool, n)
-	if res.X == nil {
-		// The greedy incumbent was already optimal.
-		for _, s := range g.Observe {
-			observed[u.Index[s.Key()]] = true
-		}
-	} else {
+	// Without a solution vector the greedy incumbent was already optimal.
+	observed := greedy
+	if res.X != nil {
+		observed = make([]bool, n)
 		for i := 0; i < n; i++ {
 			if xIdx[i] >= 0 && res.X[xIdx[i]] > 0.5 {
 				observed[i] = true

@@ -24,7 +24,7 @@ var ErrNoCover = errors.New("selector: no covering observation set avoids the fa
 //
 // ErrNoCover is returned when the covering structure cannot route around
 // the failures at all.
-func Reselect(u *Universe, have, failed []stats.Key, opt Options) (*Selection, error) {
+func Reselect(u *Universe, have, failed []stats.Stat, opt Options) (*Selection, error) {
 	v := u.excluding(failed, have)
 	// Feasibility first: with everything still-observable observed, do the
 	// required statistics close? If not, no solver can succeed.
@@ -60,42 +60,36 @@ func ScopeObserve(observe []stats.Stat, blocks map[int]bool) []stats.Stat {
 // observation (unobservable, infinite cost — they may still be *derived*
 // through their candidate sets) and the already-held statistics free
 // (observable at zero cost, so every solver keeps them in the base set).
-func (u *Universe) excluding(failed, have []stats.Key) *Universe {
+func (u *Universe) excluding(failed, have []stats.Stat) *Universe {
 	v := &Universe{
 		Res:        u.Res,
 		Stats:      u.Stats,
-		Index:      u.Index,
 		Observable: append([]bool(nil), u.Observable...),
 		Cost:       append([]float64(nil), u.Cost...),
 		Mem:        append([]int64(nil), u.Mem...),
 		CSS:        make([][]cssEntry, len(u.CSS)),
 		Required:   u.Required,
-		usedBy:     make([][]useRef, len(u.Stats)),
+		variant:    u.variant,
 	}
 	for i := range u.CSS {
 		v.CSS[i] = append([]cssEntry(nil), u.CSS[i]...)
 	}
-	for _, k := range have {
-		if i, ok := v.Index[k]; ok {
+	for _, s := range have {
+		if i, ok := u.IndexOf(s); ok {
 			v.Observable[i] = true
 			v.Cost[i] = 0
 		}
 	}
 	// Bans win over haves: a statistic both held and failed (cannot happen
 	// from the engine, which only fails what it never stored) stays banned.
-	for _, k := range failed {
-		if i, ok := v.Index[k]; ok {
+	for _, s := range failed {
+		if i, ok := u.IndexOf(s); ok {
 			v.Observable[i] = false
 			v.Cost[i] = math.Inf(1)
 		}
 	}
+	// Pruning can drop candidate sets, so the flat layout is rebuilt.
 	v.pruneUnderivable()
-	for i := range v.Stats {
-		for ci, c := range v.CSS[i] {
-			for _, j := range c.inputs {
-				v.usedBy[j] = append(v.usedBy[j], useRef{stat: i, css: ci})
-			}
-		}
-	}
+	v.layout()
 	return v
 }

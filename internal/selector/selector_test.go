@@ -79,7 +79,7 @@ func TestGreedyCovers(t *testing.T) {
 	}
 	observed := make([]bool, len(u.Stats))
 	for _, s := range sel.Observe {
-		observed[u.Index[s.Key()]] = true
+		observed[indexOf(t, u, s)] = true
 	}
 	if !u.Covered(observed) {
 		t.Fatal("greedy selection does not cover S_C")
@@ -142,7 +142,7 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 		}
 		observed := make([]bool, len(u.Stats))
 		for _, s := range ex.Observe {
-			observed[u.Index[s.Key()]] = true
+			observed[indexOf(t, u, s)] = true
 		}
 		if !u.Covered(observed) {
 			t.Fatal("exact selection does not cover S_C")
@@ -169,7 +169,7 @@ func TestLPMatchesExact(t *testing.T) {
 	}
 	observed := make([]bool, len(u.Stats))
 	for _, s := range lpSel.Observe {
-		observed[u.Index[s.Key()]] = true
+		observed[indexOf(t, u, s)] = true
 	}
 	if !u.Covered(observed) {
 		t.Fatal("LP selection does not cover S_C")
@@ -368,4 +368,14 @@ func TestSelectionDeterministic(t *testing.T) {
 			t.Fatalf("selection order differs at %d", i)
 		}
 	}
+}
+
+// indexOf is IndexOf for a statistic the test expects in the universe.
+func indexOf(t testing.TB, u *Universe, s stats.Stat) int {
+	t.Helper()
+	i, ok := u.IndexOf(s)
+	if !ok {
+		t.Fatalf("%v is not in the universe", s.Key())
+	}
+	return i
 }

@@ -11,6 +11,7 @@ package selector
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
@@ -23,15 +24,19 @@ type cssEntry struct {
 	inputs []int
 }
 
-// Universe is the integer-indexed form of a css.Result: statistics become
-// dense indexes, CSSs become index lists, and costs are precomputed. It is
-// the common substrate of all three solvers.
+// Universe is the integer-indexed form of a css.Result: statistics keep
+// their css IDs as indexes, CSSs become index lists, and costs are
+// precomputed. It is the common substrate of all three solvers.
+//
+// The solvers' per-CSS state lives in flat arrays laid out once per
+// universe (CSR form): CSS ci of statistic i owns slot off[i]+ci, and
+// uses[useOff[j]:useOff[j+1]] lists the slots statistic j is an input of.
 type Universe struct {
 	Res *css.Result
-	// Stats lists the statistic universe in deterministic order.
+	// Stats lists the statistic universe in canonical order: the css
+	// result's universe (index = css ID), then any admitted sketch
+	// variants.
 	Stats []stats.Stat
-	// Index maps statistic keys to indexes in Stats.
-	Index map[stats.Key]int
 	// Observable marks statistics the initial plan can observe.
 	Observable []bool
 	// Cost is the observation cost per statistic (+Inf when unobservable).
@@ -42,12 +47,22 @@ type Universe struct {
 	CSS [][]cssEntry
 	// Required lists S_C as indexes.
 	Required []int
-	// usedBy[i] lists (stat, css ordinal) pairs where statistic i is an
-	// input, for incremental closure propagation.
-	usedBy [][]useRef
+
+	// variant maps an exact statistic's index to its admitted sketch
+	// sibling's index.
+	variant map[int]int
+	off     []int32
+	need    []int32 // need[slot]: the CSS's input count
+	useOff  []int32
+	uses    []useRef
+	// passes recycles *passState between propagation passes: a solve runs
+	// several per branch-and-bound node over the same layout.
+	passes *sync.Pool
 }
 
-type useRef struct{ stat, css int }
+// useRef names one CSS a statistic is an input of: the CSS's target
+// statistic and its slot.
+type useRef struct{ stat, slot int32 }
 
 // ApproxPolicy admits sketch-backed approximate statistics into the
 // universe as cheap alternatives to their exact counterparts.
@@ -101,8 +116,8 @@ func NewUniverse(res *css.Result, coster *costmodel.Coster) (*Universe, error) {
 // gains a one-input candidate set (rules A1 and A2) so observing the
 // sketch covers it. The shared css.Result is never mutated.
 func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOptions) (*Universe, error) {
-	all := res.AllStats()
-	nExact := len(all)
+	nExact := len(res.Stats)
+	all := res.Stats[:nExact:nExact]
 	// variant maps an appended sketch statistic's index back to its exact
 	// sibling's index and derivation rule.
 	type variantRef struct {
@@ -134,77 +149,61 @@ func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOpt
 	u := &Universe{
 		Res:        res,
 		Stats:      all,
-		Index:      make(map[stats.Key]int, len(all)),
 		Observable: make([]bool, len(all)),
 		Cost:       make([]float64, len(all)),
 		Mem:        make([]int64, len(all)),
 		CSS:        make([][]cssEntry, len(all)),
-		usedBy:     make([][]useRef, len(all)),
+		variant:    make(map[int]int, len(variants)),
 	}
-	for i, s := range all {
-		u.Index[s.Key()] = i
+	nSets := 0
+	for i := 0; i < nExact; i++ {
+		nSets += len(res.CSS[i])
 	}
+	entries := make([]cssEntry, 0, nSets)
 	for i, s := range all {
-		k := s.Key()
 		// Appended sketch variants are observable by construction (checked
-		// via StatObservable above); they are absent from the result's
-		// Observable map, which covers the exact universe only. Forced
-		// approx demotes exact statistics whose sketch sibling was
-		// admitted.
-		u.Observable[i] = (res.Observable[k] || i >= nExact) && !demoted[i]
+		// via StatObservable above); the result's Observable covers the
+		// exact universe only. Forced approx demotes exact statistics whose
+		// sketch sibling was admitted.
+		u.Observable[i] = (i >= nExact || res.Observable[i]) && !demoted[i]
 		// Costs are priced for every statistic, not just currently
 		// observable ones: the Section 6.1 budget planner treats any
 		// statistic as observable in a re-ordered later run.
 		c, err := coster.Cost(s)
 		if err != nil {
-			return nil, fmt.Errorf("selector: cost of %v: %w", k, err)
+			return nil, fmt.Errorf("selector: cost of %v: %w", s.Key(), err)
 		}
 		u.Cost[i] = c
 		m, err := coster.Memory(s)
 		if err != nil {
-			return nil, fmt.Errorf("selector: memory of %v: %w", k, err)
+			return nil, fmt.Errorf("selector: memory of %v: %w", s.Key(), err)
 		}
 		u.Mem[i] = m
-		for _, c := range res.CSS[k] {
-			entry := cssEntry{rule: c.Rule, inputs: make([]int, 0, len(c.Inputs))}
-			ok := true
-			for _, in := range c.Inputs {
-				j, found := u.Index[in.Key()]
-				if !found {
-					ok = false
-					break
-				}
-				entry.inputs = append(entry.inputs, j)
+		if i < nExact {
+			start := len(entries)
+			for _, c := range res.CSS[i] {
+				entries = append(entries, cssEntry{rule: c.Rule, inputs: c.IDs})
 			}
-			if ok {
-				u.CSS[i] = append(u.CSS[i], entry)
-			}
+			u.CSS[i] = entries[start:len(entries):len(entries)]
 		}
 	}
 	// The exact statistic is derivable from its sketch sibling alone.
 	for vi, ref := range variants {
+		u.variant[ref.exact] = nExact + vi
 		u.CSS[ref.exact] = append(u.CSS[ref.exact], cssEntry{rule: ref.rule, inputs: []int{nExact + vi}})
 	}
 	for _, s := range res.Required {
-		j, ok := u.Index[s.Key()]
+		j, ok := res.ID(s)
 		if !ok {
 			return nil, fmt.Errorf("selector: required statistic %v missing from universe", s.Key())
 		}
 		u.Required = append(u.Required, j)
 	}
 	u.pruneUnderivable()
-	for i := range u.Stats {
-		for ci, c := range u.CSS[i] {
-			for _, j := range c.inputs {
-				u.usedBy[j] = append(u.usedBy[j], useRef{stat: i, css: ci})
-			}
-		}
-	}
+	u.layout()
 	// Sanity: every required statistic must be derivable when everything
 	// observable is observed.
-	allObs := make([]bool, len(u.Stats))
-	copy(allObs, u.Observable)
-	closed := u.Closure(allObs)
+	closed := u.Closure(u.Observable)
 	for _, r := range u.Required {
 		if !closed[r] {
 			return nil, fmt.Errorf("selector: required statistic %v not derivable from any observable set",
@@ -213,6 +212,89 @@ func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOpt
 	}
 	return u, nil
 }
+
+// IndexOf returns a statistic's index in the universe, or false when it is
+// not part of it.
+func (u *Universe) IndexOf(s stats.Stat) (int, bool) {
+	if ex, ok := stats.ExactVariant(s); ok {
+		id, ok := u.Res.ID(ex)
+		if !ok {
+			return 0, false
+		}
+		j, ok := u.variant[id]
+		return j, ok
+	}
+	return u.Res.ID(s)
+}
+
+// layout computes the flat per-CSS layout (off, need) and the reverse
+// input index (useOff, uses) from the current candidate sets.
+func (u *Universe) layout() {
+	n := len(u.Stats)
+	u.passes = new(sync.Pool)
+	u.off = make([]int32, n+1)
+	for i := range u.CSS {
+		u.off[i+1] = u.off[i] + int32(len(u.CSS[i]))
+	}
+	u.need = make([]int32, u.off[n])
+	u.useOff = make([]int32, n+1)
+	for i := range u.CSS {
+		for ci, c := range u.CSS[i] {
+			u.need[u.off[i]+int32(ci)] = int32(len(c.inputs))
+			for _, j := range c.inputs {
+				u.useOff[j+1]++
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		u.useOff[j+1] += u.useOff[j]
+	}
+	// Fill in (statistic, CSS) order: the propagation loops visit an
+	// input's uses in this order, which fixes the heap's push order and
+	// with it the order float costs are summed in.
+	u.uses = make([]useRef, u.useOff[n])
+	fill := append([]int32(nil), u.useOff[:n]...)
+	for i := range u.CSS {
+		for ci, c := range u.CSS[i] {
+			for _, j := range c.inputs {
+				u.uses[fill[j]] = useRef{stat: int32(i), slot: u.off[i] + int32(ci)}
+				fill[j]++
+			}
+		}
+	}
+}
+
+// passState is the scratch of one propagation pass (Closure or
+// deriveCosts), laid out per slot and per statistic.
+type passState struct {
+	remaining []int32   // per slot: inputs not yet available
+	acc       []float64 // per slot: aggregated cost of the available inputs
+	done      []bool    // per statistic
+	heap      costHeap
+	queue     []int
+}
+
+// pass returns a reset passState; the caller hands it back with
+// u.passes.Put when the pass ends.
+func (u *Universe) pass() *passState {
+	ps, _ := u.passes.Get().(*passState)
+	if ps == nil {
+		ps = &passState{
+			remaining: make([]int32, len(u.need)),
+			acc:       make([]float64, len(u.need)),
+			done:      make([]bool, len(u.Stats)),
+		}
+	}
+	copy(ps.remaining, u.need)
+	clear(ps.acc)
+	clear(ps.done)
+	ps.heap = ps.heap[:0]
+	ps.queue = ps.queue[:0]
+	return ps
+}
+
+// usesOf lists the CSSs statistic j is an input of.
+func (u *Universe) usesOf(j int) []useRef { return u.uses[u.useOff[j]:u.useOff[j+1]] }
 
 // pruneUnderivable removes candidate sets whose inputs can never be
 // computed (not observable and, transitively, not derivable), shrinking the
@@ -243,7 +325,7 @@ func (u *Universe) pruneUnderivable() {
 		}
 	}
 	for i := range u.CSS {
-		var kept []cssEntry
+		kept := u.CSS[i][:0]
 		for _, c := range u.CSS[i] {
 			ok := true
 			for _, j := range c.inputs {
@@ -265,14 +347,11 @@ func (u *Universe) pruneUnderivable() {
 // (property 1 of Section 5.1). It runs in time linear in total CSS size.
 func (u *Universe) Closure(observed []bool) []bool {
 	computable := make([]bool, len(u.Stats))
-	// remaining[stat][css] counts inputs not yet computable.
-	remaining := make([][]int, len(u.Stats))
-	var queue []int
+	ps := u.pass()
+	defer u.passes.Put(ps)
+	// remaining[slot] counts a CSS's inputs not yet computable.
+	remaining, queue := ps.remaining, ps.queue
 	for i := range u.Stats {
-		remaining[i] = make([]int, len(u.CSS[i]))
-		for ci, c := range u.CSS[i] {
-			remaining[i][ci] = len(c.inputs)
-		}
 		if observed[i] {
 			computable[i] = true
 			queue = append(queue, i)
@@ -283,8 +362,8 @@ func (u *Universe) Closure(observed []bool) []bool {
 		if computable[i] {
 			continue
 		}
-		for ci := range u.CSS[i] {
-			if remaining[i][ci] == 0 {
+		for _, r := range remaining[u.off[i]:u.off[i+1]] {
+			if r == 0 {
 				computable[i] = true
 				queue = append(queue, i)
 				break
@@ -294,17 +373,18 @@ func (u *Universe) Closure(observed []bool) []bool {
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ref := range u.usedBy[i] {
+		for _, ref := range u.usesOf(i) {
 			if computable[ref.stat] {
 				continue
 			}
-			remaining[ref.stat][ref.css]--
-			if remaining[ref.stat][ref.css] == 0 {
+			remaining[ref.slot]--
+			if remaining[ref.slot] == 0 {
 				computable[ref.stat] = true
-				queue = append(queue, ref.stat)
+				queue = append(queue, int(ref.stat))
 			}
 		}
 	}
+	ps.queue = queue
 	return computable
 }
 

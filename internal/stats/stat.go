@@ -271,7 +271,9 @@ func ExactVariant(s Stat) (Stat, bool) {
 // the join attribute itself).
 func canonAttrs(attrs []workflow.Attr) []workflow.Attr {
 	cp := append([]workflow.Attr(nil), attrs...)
-	workflow.SortAttrs(cp)
+	if !canonical(cp) {
+		workflow.SortAttrs(cp)
+	}
 	out := cp[:0]
 	for i, a := range cp {
 		if i == 0 || cp[i-1] != a {
@@ -279,6 +281,17 @@ func canonAttrs(attrs []workflow.Attr) []workflow.Attr {
 		}
 	}
 	return out
+}
+
+// canonical reports whether attrs are strictly increasing: sorted with no
+// duplicates.
+func canonical(attrs []workflow.Attr) bool {
+	for i := 1; i < len(attrs); i++ {
+		if !attrs[i-1].Less(attrs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Key is a comparable identity for a statistic, usable as a map key.
@@ -336,15 +349,6 @@ type CSS struct {
 	// Join is the join-attribute class for the J and R rules (zero value
 	// otherwise).
 	Join workflow.Attr
-}
-
-// Keys returns the input statistics' keys.
-func (c CSS) Keys() []Key {
-	out := make([]Key, len(c.Inputs))
-	for i, s := range c.Inputs {
-		out[i] = s.Key()
-	}
-	return out
 }
 
 // Label renders the CSS as "rule{stat, stat, ...}".

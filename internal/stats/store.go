@@ -280,13 +280,36 @@ func (st *Store) Values() []*Value {
 		out = append(out, v)
 	}
 	st.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Stat.Key(), out[j].Stat.Key()) })
+	SortByKey(out, func(v *Value) Stat { return v.Stat })
 	return out
 }
 
 // KeyLess orders statistic keys canonically (the order Values uses), so
 // callers can sort their own statistic lists deterministically.
 func KeyLess(a, b Key) bool { return keyLess(a, b) }
+
+// SortByKey sorts xs into canonical order (KeyLess) by each element's
+// statistic, formatting every Key once instead of twice per comparison.
+func SortByKey[T any](xs []T, stat func(T) Stat) {
+	keys := make([]Key, len(xs))
+	for i, x := range xs {
+		keys[i] = stat(x).Key()
+	}
+	sort.Sort(byKey[T]{keys: keys, xs: xs})
+}
+
+// byKey sorts elements by their precomputed keys.
+type byKey[T any] struct {
+	keys []Key
+	xs   []T
+}
+
+func (b byKey[T]) Len() int           { return len(b.keys) }
+func (b byKey[T]) Less(i, j int) bool { return keyLess(b.keys[i], b.keys[j]) }
+func (b byKey[T]) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.xs[i], b.xs[j] = b.xs[j], b.xs[i]
+}
 
 func keyLess(a, b Key) bool {
 	if a.Kind != b.Kind {

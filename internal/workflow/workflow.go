@@ -12,6 +12,7 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -104,19 +105,40 @@ func (a Attr) Less(b Attr) bool {
 // SortAttrs sorts a slice of attributes into canonical order in place and
 // returns it.
 func SortAttrs(as []Attr) []Attr {
-	sort.Slice(as, func(i, j int) bool { return as[i].Less(as[j]) })
+	slices.SortFunc(as, func(a, b Attr) int {
+		if c := strings.Compare(a.Rel, b.Rel); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Col, b.Col)
+	})
 	return as
 }
 
 // AttrsString renders a canonical comma-separated form of an attribute set.
+// Input already in canonical order (every statistic's attributes) costs one
+// allocation; other input is sorted on a copy first.
 func AttrsString(as []Attr) string {
-	cp := append([]Attr(nil), as...)
-	SortAttrs(cp)
-	parts := make([]string, len(cp))
-	for i, a := range cp {
-		parts[i] = a.String()
+	if len(as) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ",")
+	n := -1 // one comma fewer than attributes
+	for i, a := range as {
+		if i > 0 && a.Less(as[i-1]) {
+			return AttrsString(SortAttrs(append([]Attr(nil), as...)))
+		}
+		n += len(a.Rel) + len(a.Col) + 2
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, a := range as {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(a.Rel)
+		sb.WriteByte('.')
+		sb.WriteString(a.Col)
+	}
+	return sb.String()
 }
 
 // CmpOp is a comparison operator used in selection predicates.
